@@ -133,7 +133,7 @@ def cmd_eval(args):
         lines = ["name,alpha,psnr,ssim"]
         for name, alpha, p, s in rows:
             lines.append("%s,%s,%s,%s" % (name, ("%g" % alpha), _fmt(p), _fmt(s)))
-        datakit._atomic_write(args.csv, ("\n".join(lines) + "\n").encode("utf-8"))
+        datakit.atomic_write(args.csv, ("\n".join(lines) + "\n").encode("utf-8"))
     return EXIT_OK
 
 

@@ -76,12 +76,17 @@ def synth_image(rng, h, w):
 # ---------------------------------------------------------------------------
 # PGM I/O (binary P5, maxval 255 only)
 
-def _atomic_write(path, data):
+def atomic_write(path, data):
+    """Write ``data`` (bytes, or an iterable of byte buffers written in
+    order) via temp file + rename; no partial output on error."""
+    if isinstance(data, (bytes, bytearray, memoryview)):
+        data = (data,)
     d = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "wb") as f:
-            f.write(data)
+            for chunk in data:
+                f.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -99,7 +104,7 @@ def save_pgm(image, path):
     q = np.rint(np.clip(img, 0.0, 1.0) * 255.0).astype(np.uint8)
     h, w = q.shape
     header = ("P5\n%d %d\n255\n" % (w, h)).encode("ascii")
-    _atomic_write(path, header + q.tobytes())
+    atomic_write(path, header + q.tobytes())
 
 
 class _PgmScanner:
@@ -221,7 +226,7 @@ def write_manifest(manifest, path):
             lines.append("sample.%d.synth_seed=%d" % (i, rec.synth_seed))
         lines.append("sample.%d.alpha=%s" % (i, ("%g" % rec.alpha)))
         lines.append("sample.%d.mask_seed=%d" % (i, rec.mask_seed))
-    _atomic_write(path, ("\n".join(lines) + "\n").encode("utf-8"))
+    atomic_write(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def _parse_int(value, key, line_no):

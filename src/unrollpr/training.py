@@ -7,42 +7,54 @@ is keyed exactly like ``NetParams.tensors()``, which is also the layout
 the checkpoint format serializes, so one declared order drives the
 optimizer, the file format and the finite-difference harness.
 
-Checkpoint container (all little-endian): magic "DLMM", u32 version 1,
+Checkpoint container (all little-endian): magic "DLMM", u32 version 2,
 u32 fields K, c, J, h, w, operator mode code (0 fixed / 1 dense /
 2 structured), flags (bit0 adjoint tied, bit1 operator shared); then every
 parameter tensor as a u64 float count plus raw float64 data in declared
 order (complex stored as interleaved pairs); then per-tensor Adam moments
 m, v in the same order; then the step counter as a one-float tensor; then
-a u64 FNV-1a digest of all preceding bytes.
+a 32-byte SHA-256 digest of all preceding bytes.  Version 1 files, whose
+payload is identical but whose trailer is a u64 FNV-1a digest, are still
+read; new files are always written as version 2.  The header alone fixes
+the file length, so a load validates the header fields and the file size
+before it hashes anything or allocates the network.
 """
 
+import hashlib
 import os
 import struct
-import tempfile
 import time
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
 from . import cdp, metrics, network
+from .datakit import atomic_write
 from .errors import FormatError, UnsupportedVersionError
-from .field import STREAM_INIT, STREAM_SHUFFLE, derive_rng
+from .field import STREAM_INIT, STREAM_SHUFFLE, derive_rng, is_pow2
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 CKPT_MAGIC = b"DLMM"
-CKPT_VERSION = 1
+CKPT_VERSION = 2
+_TRAILER_SIZE = {1: 8, 2: 32}  # readable versions -> digest bytes
 _MODE_CODES = {"fixed": 0, "dense": 1, "structured": 2}
 _MODE_NAMES = {v: k for k, v in _MODE_CODES.items()}
+# magic, version, then K, c, J, h, w, mode code, flags
+_HEADER = struct.Struct("<4s8I")
+# caps on K, c, J, h, w; a header beyond them is rejected before any
+# size arithmetic or allocation
+_FIELD_CAPS = (("K", 64), ("c", 1024), ("J", 64), ("h", 4096), ("w", 4096))
+_KNOWN_FLAGS = 3
 
 FNV_OFFSET = 0xCBF29CE484222325
 FNV_PRIME = 0x100000001B3
 
 
 def fnv1a64(data):
-    """64-bit FNV-1a over a byte string."""
+    """64-bit FNV-1a over a byte string (the version 1 checkpoint digest)."""
     h = FNV_OFFSET
     for b in data:
         h = ((h ^ b) * FNV_PRIME) & 0xFFFFFFFFFFFFFFFF
@@ -296,124 +308,159 @@ def train_full(dataset, config, net=None, val_dataset=None, log_path=None):
                 _csv_num(vs) if vs != "" else "",
                 _csv_num(sec),
             ]))
-        _atomic_write(log_path, ("\n".join(lines) + "\n").encode("utf-8"))
+        atomic_write(log_path, ("\n".join(lines) + "\n").encode("utf-8"))
     return net, history, state
 
 
 # ---------------------------------------------------------------------------
 # checkpoints
 
-def _atomic_write(path, data):
-    """Write whole-file via temp + rename; no partial output on error."""
-    d = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix="~")
-    try:
-        with os.fdopen(fd, "wb") as f:
-            f.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+def _check_header(head):
+    """Validate a header; returns (version, K, c, J, h, w, mode, flags).
+
+    Every rejection is a FormatError at the offending field's offset.
+    """
+    if head[:4] != CKPT_MAGIC:
+        raise FormatError("bad magic, not a checkpoint", offset=0)
+    if len(head) < 8:
+        raise FormatError("truncated header", offset=len(head))
+    (version,) = struct.unpack_from("<I", head, 4)
+    if version not in _TRAILER_SIZE:
+        raise UnsupportedVersionError(
+            "checkpoint version %d, can read 1 and %d" % (version, CKPT_VERSION),
+            offset=4,
+        )
+    if len(head) < _HEADER.size:
+        raise FormatError("truncated header", offset=len(head))
+    _, _, *fields = _HEADER.unpack_from(head)
+    k, c, j, h, w, mode_code, flags = fields
+    for i, (name, cap) in enumerate(_FIELD_CAPS):
+        if not 1 <= fields[i] <= cap:
+            raise FormatError(
+                "header field %s=%d outside [1, %d]" % (name, fields[i], cap),
+                offset=8 + 4 * i,
+            )
+    for name, value, offset in (("h", h, 20), ("w", w, 24)):
+        if not is_pow2(value):
+            raise FormatError(
+                "header field %s=%d is not a power of two" % (name, value), offset=offset
+            )
+    if mode_code not in _MODE_NAMES:
+        raise FormatError("unknown operator mode code %d" % mode_code, offset=28)
+    if flags & ~_KNOWN_FLAGS:
+        raise FormatError("unknown flag bits 0x%x" % flags, offset=32)
+    mode = _MODE_NAMES[mode_code]
+    if mode == "dense" and h * w > cdp.DENSE_SIZE_LIMIT:
+        raise FormatError(
+            "dense operator of %dx%d exceeds %d entries" % (h, w, cdp.DENSE_SIZE_LIMIT),
+            offset=20,
+        )
+    return version, k, c, j, h, w, mode, flags
 
 
-def _tensor_bytes(a):
-    flat = _real_flat(a).astype("<f8", copy=False)
-    return struct.pack("<Q", flat.size) + flat.tobytes()
+def _file_size(version, k, c, j, h, w, mode, flags):
+    """Exact checkpoint length implied by a validated header.
+
+    Mirrors the tensor order of ``NetParams.tensors()``: per stage the step
+    size, threshold and both conv stacks, then the operator tensors (stage
+    0 only when shared, one instead of two when tied).
+    """
+    stage = [1, 1, 9 * c, c, 9 * c * c, c, 9 * c * c, c, 9 * c, 1]
+    op = {"fixed": [], "structured": [2 * h * w], "dense": [2 * (h * w) ** 2]}[mode]
+    op = op * (1 if flags & 1 else 2)
+    counts = []
+    for i in range(k):
+        counts += stage + (op if i == 0 or not flags & 2 else [])
+    tensors = sum(8 + 8 * n for n in counts)
+    # params, then m and v per tensor, then the one-float step counter
+    return _HEADER.size + 3 * tensors + 16 + _TRAILER_SIZE[version]
+
+
+def _pieces(params, state):
+    """The version 2 payload as byte buffers, without copying tensor data."""
+    flags = (1 if params.tie_adjoint else 0) | (2 if params.share_operator else 0)
+    head = _HEADER.pack(
+        CKPT_MAGIC, CKPT_VERSION, params.num_stages, params.channels,
+        params.num_masks, params.height, params.width, _MODE_CODES[params.mode], flags,
+    )
+    _check_header(head)  # never write a file that checkpoint_load rejects
+    yield head
+    arrays = [arr for _, arr in params.tensors()]
+    for name, _ in params.tensors():
+        arrays += [state.m[name], state.v[name]]
+    arrays.append(np.array(float(state.step)))
+    for a in arrays:
+        flat = _real_flat(a).astype("<f8", copy=False)
+        yield struct.pack("<Q", flat.size)
+        yield memoryview(flat).cast("B")
 
 
 def checkpoint_save(params, state, path):
     """Serialize network and optimizer state; bit-exact round trip."""
-    out = [CKPT_MAGIC, struct.pack("<I", CKPT_VERSION)]
-    flags = (1 if params.tie_adjoint else 0) | (2 if params.share_operator else 0)
-    out.append(struct.pack(
-        "<7I", params.num_stages, params.channels, params.num_masks,
-        params.height, params.width, _MODE_CODES[params.mode], flags,
-    ))
-    for _, arr in params.tensors():
-        out.append(_tensor_bytes(arr))
-    for name, _ in params.tensors():
-        out.append(_tensor_bytes(state.m[name]))
-        out.append(_tensor_bytes(state.v[name]))
-    out.append(_tensor_bytes(np.array(float(state.step))))
-    body = b"".join(out)
-    digest = struct.pack("<Q", fnv1a64(body))
-    _atomic_write(path, body + digest)
+    digest = hashlib.sha256()
+
+    def chunks():
+        for piece in _pieces(params, state):
+            digest.update(piece)
+            yield piece
+        yield digest.digest()
+
+    atomic_write(path, chunks())
 
 
 class _Reader:
-    def __init__(self, data):
-        self.data = data
-        self.pos = 0
+    """Fills arrays in place from consecutive (u64 count, float64 data) records."""
 
-    def take(self, n, what):
-        if self.pos + n > len(self.data):
+    def __init__(self, data, pos):
+        self.data = data
+        self.pos = pos
+
+    def fill(self, arr, what):
+        dst = arr.view(np.float64)
+        (n,) = struct.unpack_from("<Q", self.data, self.pos)
+        if n != dst.size:
             raise FormatError(
-                "truncated checkpoint, needed %d bytes for %s" % (n, what),
+                "tensor %s holds %d floats, expected %d" % (what, n, dst.size),
                 offset=self.pos,
             )
-        b = self.data[self.pos:self.pos + n]
-        self.pos += n
-        return b
-
-    def floats(self, what):
-        (n,) = struct.unpack("<Q", self.take(8, what + " length"))
-        raw = self.take(8 * n, what)
-        return np.frombuffer(raw, dtype="<f8").copy()
-
-
-def _fill_tensor(arr, flat, name):
-    rv = arr.view(np.float64)
-    if flat.size != rv.size:
-        raise FormatError(
-            "tensor %s holds %d floats, expected %d" % (name, flat.size, rv.size)
-        )
-    rv[...] = flat.reshape(rv.shape)
+        dst[...] = np.frombuffer(self.data, "<f8", n, self.pos + 8).reshape(dst.shape)
+        self.pos += 8 + 8 * n
 
 
 def checkpoint_load(path):
-    """Parse a checkpoint; returns (params, adam_state)."""
+    """Parse a version 1 or 2 checkpoint; returns (params, adam_state)."""
     with open(path, "rb") as f:
-        data = f.read()
-    if len(data) < 4 or data[:4] != CKPT_MAGIC:
-        raise FormatError("bad magic, not a checkpoint", offset=0)
-    if len(data) < 8 + 8:
-        raise FormatError("truncated header", offset=4)
-    (version,) = struct.unpack("<I", data[4:8])
-    if version != CKPT_VERSION:
-        raise UnsupportedVersionError(
-            "checkpoint version %d, can only read %d" % (version, CKPT_VERSION),
-            offset=4,
-        )
-    digest_at = len(data) - 8
-    (stored,) = struct.unpack("<Q", data[digest_at:])
-    if fnv1a64(data[:digest_at]) != stored:
+        fields = _check_header(f.read(_HEADER.size))
+        expected = _file_size(*fields)
+        actual = os.fstat(f.fileno()).st_size
+        if actual != expected:
+            raise FormatError(
+                "checkpoint is %d bytes, its header implies %d" % (actual, expected),
+                offset=min(actual, expected),
+            )
+        f.seek(0)
+        data = memoryview(f.read(expected))
+    version, k, c, j, h, w, mode, flags = fields
+    digest_at = expected - _TRAILER_SIZE[version]
+    body = data[:digest_at]
+    if version == 1:
+        computed = struct.pack("<Q", fnv1a64(body))
+    else:
+        computed = hashlib.sha256(body).digest()
+    if data[digest_at:] != computed:
         raise FormatError("digest mismatch, file corrupted", offset=digest_at)
-    r = _Reader(data[:digest_at])
-    r.take(8, "magic and version")
-    k, c, j, h, w, mode_code, flags = struct.unpack("<7I", r.take(28, "shape fields"))
-    if mode_code not in _MODE_NAMES:
-        raise FormatError("unknown operator mode code %d" % mode_code, offset=r.pos - 8)
     net = network.alloc_net(
-        h, w, num_stages=k, channels=c, num_masks=j, mode=_MODE_NAMES[mode_code],
+        h, w, num_stages=k, channels=c, num_masks=j, mode=mode,
         tie_adjoint=bool(flags & 1), share_operator=bool(flags & 2),
     )
-    for name, arr in net.tensors():
-        _fill_tensor(arr, r.floats(name), name)
     state = init_adam(net)
+    r = _Reader(body, _HEADER.size)
+    for name, arr in net.tensors():
+        r.fill(arr, name)
     for name, _ in net.tensors():
-        m = r.floats(name + ".m")
-        v = r.floats(name + ".v")
-        if m.size != state.m[name].size or v.size != state.v[name].size:
-            raise FormatError("moment size mismatch for %s" % name)
-        state.m[name] = m
-        state.v[name] = v
-    step = r.floats("step counter")
-    if step.size != 1:
-        raise FormatError("malformed step counter")
+        r.fill(state.m[name], name + ".m")
+        r.fill(state.v[name], name + ".v")
+    step = np.zeros(1)
+    r.fill(step, "step counter")
     state.step = int(step[0])
-    if r.pos != len(r.data):
-        raise FormatError("trailing bytes after checkpoint payload", offset=r.pos)
     return net, state

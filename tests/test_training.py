@@ -1,11 +1,16 @@
 """Loss, gradients, Adam, schedule, training loop, checkpoints."""
 
+import hashlib
 import math
+import pathlib
+import re
+import struct
 
 import numpy as np
 import pytest
 
-from unrollpr import cdp, training
+from unrollpr import cdp, datakit, network, training
+from unrollpr.cli import main
 from unrollpr.datakit import DatasetManifest, SampleRecord, build_dataset
 from unrollpr.errors import FormatError, UnsupportedVersionError
 from unrollpr.field import STREAM_INIT, SeededRng, derive_rng
@@ -405,7 +410,7 @@ def test_checkpoint_corrupted_magic_rejected(tmp_path):
 def test_checkpoint_unsupported_version(tmp_path):
     _, _, path = _trained_pair(tmp_path)
     data = bytearray(path.read_bytes())
-    data[4:8] = (2).to_bytes(4, "little")
+    data[4:8] = (3).to_bytes(4, "little")
     bad = tmp_path / "v2.ckpt"
     bad.write_bytes(bytes(data))
     with pytest.raises(UnsupportedVersionError):
@@ -450,3 +455,140 @@ def test_checkpoint_dense_and_tied_roundtrip(tmp_path):
     assert loaded.mode == "dense"
     assert loaded.tie_adjoint
     assert np.array_equal(loaded.stages[0].op.mat, net.stages[0].op.mat)
+
+
+def test_checkpoint_version_zero_rejected(tmp_path):
+    _, _, path = _trained_pair(tmp_path)
+    data = bytearray(path.read_bytes())
+    data[4:8] = (0).to_bytes(4, "little")
+    bad = tmp_path / "v0.ckpt"
+    bad.write_bytes(bytes(data))
+    with pytest.raises(UnsupportedVersionError):
+        checkpoint_load(str(bad))
+
+
+def test_checkpoint_writes_version_2_sha256_trailer(tmp_path):
+    _, _, path = _trained_pair(tmp_path)
+    data = path.read_bytes()
+    assert data[4:8] == (2).to_bytes(4, "little")
+    assert data[-32:] == hashlib.sha256(data[:-32]).digest()
+
+
+@pytest.mark.parametrize("mode", ["fixed", "structured", "dense"])
+@pytest.mark.parametrize("tie,share", [(False, False), (True, False),
+                                       (False, True), (True, True)])
+def test_checkpoint_roundtrip_every_layout(tmp_path, mode, tie, share):
+    net = init_net(4, 4, num_stages=2, channels=2, num_masks=2, mode=mode,
+                   tie_adjoint=tie, share_operator=share, rng=SeededRng(81))
+    state = init_adam(net)
+    state.step = 3
+    path = tmp_path / "m.ckpt"
+    checkpoint_save(net, state, str(path))
+    loaded, lstate = checkpoint_load(str(path))
+    assert (loaded.mode, loaded.tie_adjoint, loaded.share_operator) == (mode, tie, share)
+    assert [n for n, _ in loaded.tensors()] == [n for n, _ in net.tensors()]
+    for (name, a), (_, b) in zip(net.tensors(), loaded.tensors()):
+        assert np.array_equal(a, b), name
+    assert lstate.step == 3
+
+
+# header fields: K, c, J, h, w, mode code, flags at byte offsets 8 .. 32
+@pytest.mark.parametrize("patch,offset", [
+    ({8: 0}, 8), ({12: 0}, 12), ({16: 0}, 16),
+    ({8: 65}, 8), ({12: 1025}, 12), ({16: 65}, 16),
+    ({20: 3}, 20), ({24: 12}, 24), ({24: 8192}, 24),
+    ({28: 3}, 28), ({32: 4}, 32),
+    ({28: 1, 20: 4096}, 20),  # dense beyond DENSE_SIZE_LIMIT
+])
+def test_checkpoint_bad_header_field_rejected(tmp_path, patch, offset):
+    _, _, path = _trained_pair(tmp_path)
+    data = bytearray(path.read_bytes())
+    for at, value in patch.items():
+        data[at:at + 4] = value.to_bytes(4, "little")
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(bytes(data))
+    with pytest.raises(FormatError) as info:
+        checkpoint_load(str(bad))
+    assert info.value.offset == offset
+
+
+V1_FIXTURE = pathlib.Path(__file__).parent / "data" / "ckpt_v1_tiny.ckpt"
+
+
+def _v1_fixture_net():
+    # the net the fixture was written from, by the version 1 checkpoint_save
+    return init_net(8, 8, num_stages=1, channels=1, num_masks=2,
+                    mode="structured", rng=SeededRng(11))
+
+
+def _assert_same_state(net, state, loaded, lstate):
+    assert [n for n, _ in loaded.tensors()] == [n for n, _ in net.tensors()]
+    for (name, a), (_, b) in zip(net.tensors(), loaded.tensors()):
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+        assert np.array_equal(state.m[name], lstate.m[name])
+        assert np.array_equal(state.v[name], lstate.v[name])
+    assert lstate.step == state.step
+
+
+def test_checkpoint_v1_fixture_loads_bit_exact():
+    assert V1_FIXTURE.read_bytes()[4:8] == (1).to_bytes(4, "little")
+    net = _v1_fixture_net()
+    loaded, lstate = checkpoint_load(str(V1_FIXTURE))
+    assert loaded.num_masks == 2 and loaded.mode == "structured"
+    _assert_same_state(net, init_adam(net), loaded, lstate)
+
+
+def test_checkpoint_v1_fixture_resaves_as_v2(tmp_path):
+    loaded, lstate = checkpoint_load(str(V1_FIXTURE))
+    path = tmp_path / "v2.ckpt"
+    checkpoint_save(loaded, lstate, str(path))
+    data = path.read_bytes()
+    assert data[4:8] == (2).to_bytes(4, "little")
+    # same payload, only the version field and the digest trailer differ
+    v1 = V1_FIXTURE.read_bytes()
+    assert data[8:-32] == v1[8:-8]
+    again, astate = checkpoint_load(str(path))
+    _assert_same_state(loaded, lstate, again, astate)
+
+
+def test_checkpoint_v1_fixture_corruption_detected(tmp_path):
+    data = bytearray(V1_FIXTURE.read_bytes())
+    data[len(data) // 2] ^= 0x01
+    bad = tmp_path / "flip.ckpt"
+    bad.write_bytes(bytes(data))
+    with pytest.raises(FormatError):
+        checkpoint_load(str(bad))
+
+
+def test_checkpoint_oversized_header_rejected_before_allocation(tmp_path, monkeypatch):
+    k, c, h, w = 64, 1024, 64, 64
+    head = struct.pack("<4s8I", b"DLMM", 2, k, c, 4, h, w, 1, 0)
+    bad = tmp_path / "huge.ckpt"
+    bad.write_bytes(head + hashlib.sha256(head).digest())
+    actual = len(head) + 32
+    assert actual < 100
+    # per stage: step, thresh, 8 conv tensors, dense operator and adjoint
+    floats = 2 + 18 * c * c + 21 * c + 1 + 2 * 2 * (h * w) ** 2
+    expected = len(head) + 3 * k * (12 * 8 + 8 * floats) + 16 + 32
+
+    def no_alloc(*args, **kwargs):
+        raise AssertionError("alloc_net called for a rejected header")
+
+    monkeypatch.setattr(network, "alloc_net", no_alloc)
+    with pytest.raises(FormatError) as info:
+        checkpoint_load(str(bad))
+    assert re.search(r"\b%d bytes\b.*\b%d\b" % (actual, expected), str(info.value))
+    assert info.value.offset == actual
+    data = tmp_path / "data"
+    datakit.generate_dataset(str(data), 1, 8, 8, 3)
+    assert main(["eval", "--ckpt", str(bad), "--data", str(data)]) == 3
+
+
+def test_cli_eval_rejects_non_pow2_header_with_io_exit(tmp_path):
+    data = bytearray(V1_FIXTURE.read_bytes())
+    data[20:24] = (3).to_bytes(4, "little")
+    bad = tmp_path / "h3.ckpt"
+    bad.write_bytes(bytes(data))
+    ds = tmp_path / "data"
+    datakit.generate_dataset(str(ds), 1, 8, 8, 3)
+    assert main(["eval", "--ckpt", str(bad), "--data", str(ds)]) == 3
