@@ -87,14 +87,51 @@ def dft_matrix_2d(h, w):
     return np.kron(fh, fw)
 
 
+def _identity_gains(h, w):
+    return np.ones((h, w), dtype=np.complex128), np.ones((h, w), dtype=np.complex128)
+
+
+def _dft_pair(h, w):
+    f2 = dft_matrix_2d(h, w)
+    return f2, f2.conj().T.copy()
+
+
+# mode -> (forward, adjoint) attribute names, their shape for an h x w field
+# and their initial values; ``fixed`` has no trainable part
+_TRANSFORMS = {
+    "fixed": ((), None, None),
+    "structured": (("gain", "adj_gain"), lambda h, w: (h, w), _identity_gains),
+    "dense": (("mat", "adj_mat"), lambda h, w: (h * w, h * w), _dft_pair),
+}
+
+
+def operator_layout(mode, h, w, tie_adjoint=False):
+    """Stored operator tensors as (attribute, shape, dtype), forward first.
+
+    A tied adjoint is derived from the forward side, so it is not stored.
+    """
+    if mode not in _TRANSFORMS:
+        raise ValueError("unknown operator mode %r" % mode)
+    names, shape, _ = _TRANSFORMS[mode]
+    if names:
+        check_spatial_pow2((h, w))
+    if mode == "dense" and h * w > DENSE_SIZE_LIMIT:
+        raise ValueError(
+            "dense transform needs %d^2 complex entries; limit is %d^2"
+            % (h * w, DENSE_SIZE_LIMIT)
+        )
+    names = names[:1] if tie_adjoint else names
+    return tuple((name, shape(h, w), np.dtype(np.complex128)) for name in names)
+
+
 @dataclass
 class OperatorParams:
     """Trainable state of the spectral transform and its adjoint.
 
     ``gain``/``adj_gain`` are (h, w) complex fields (structured mode);
     ``mat``/``adj_mat`` are (N, N) complex matrices (dense mode).  The
-    unused pair is None.  With ``tie_adjoint`` the adjoint-side tensors are
-    ignored and derived from the forward side instead.
+    unused pair is None.  With ``tie_adjoint`` the adjoint-side tensor is
+    None too: it is derived from the forward side instead.
     """
 
     mode: str
@@ -105,37 +142,25 @@ class OperatorParams:
     tie_adjoint: bool = False
 
     @staticmethod
+    def initial(mode, h, w, tie_adjoint=False):
+        """The operator of ``mode`` at its initial value (stored tensors only)."""
+        names = [name for name, _, _ in operator_layout(mode, h, w, tie_adjoint)]
+        init = _TRANSFORMS[mode][2](h, w) if names else ()
+        return OperatorParams(mode=mode, tie_adjoint=tie_adjoint, **dict(zip(names, init)))
+
+    @staticmethod
     def fixed():
         return OperatorParams(mode="fixed")
 
     @staticmethod
     def structured(h, w, tie_adjoint=False):
         """Identity gains: starts out exactly equal to the fixed operator."""
-        check_spatial_pow2((h, w))
-        return OperatorParams(
-            mode="structured",
-            gain=np.ones((h, w), dtype=np.complex128),
-            adj_gain=np.ones((h, w), dtype=np.complex128),
-            tie_adjoint=tie_adjoint,
-        )
+        return OperatorParams.initial("structured", h, w, tie_adjoint)
 
     @staticmethod
     def dense(h, w, tie_adjoint=False):
         """Full-matrix transform seeded at the DFT matrix."""
-        check_spatial_pow2((h, w))
-        n = h * w
-        if n > DENSE_SIZE_LIMIT:
-            raise ValueError(
-                "dense transform needs %d^2 complex entries; limit is %d^2"
-                % (n, DENSE_SIZE_LIMIT)
-            )
-        f2 = dft_matrix_2d(h, w)
-        return OperatorParams(
-            mode="dense",
-            mat=f2,
-            adj_mat=f2.conj().T.copy(),
-            tie_adjoint=tie_adjoint,
-        )
+        return OperatorParams.initial("dense", h, w, tie_adjoint)
 
 
 def _modulate(x, masks):

@@ -20,7 +20,7 @@ training sets, so the two never share a mask distribution.
 """
 
 import os
-import tempfile
+import secrets
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,11 +78,13 @@ def synth_image(rng, h, w):
 
 def atomic_write(path, data):
     """Write ``data`` (bytes, or an iterable of byte buffers written in
-    order) via temp file + rename; no partial output on error."""
+    order) via temp file + rename; no partial output on error.  The file
+    gets mode 0666 less the umask, as ``open(path, "wb")`` would give."""
     if isinstance(data, (bytes, bytearray, memoryview)):
         data = (data,)
-    d = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix="~")
+    d = os.path.dirname(os.path.abspath(path))
+    tmp = os.path.join(d, ".tmp-%s~" % secrets.token_hex(8))
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as f:
             for chunk in data:

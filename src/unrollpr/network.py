@@ -18,6 +18,8 @@ records a per-stage tape that the training module walks backwards.
 """
 
 from dataclasses import dataclass, field as dc_field
+from functools import lru_cache
+from operator import attrgetter
 
 import numpy as np
 
@@ -30,6 +32,9 @@ PHASE_EPS = 1e-12
 # thresh_raw value whose softplus is 0.5
 THRESH_RAW_INIT = float(np.log(np.expm1(0.5)))
 STEP_SIZE_INIT = 0.01
+
+_REAL = np.dtype(np.float64)
+_STACK = ("w1", "b1", "w2", "b2")  # ConvStack field order
 
 
 def softplus(x):
@@ -94,111 +99,86 @@ class NetParams:
         return len(self.stages)
 
     def tensors(self):
-        """Yield (name, array) in the fixed stage-major order.
+        """Yield ("stage<k>.<path>", array) for every :func:`net_layout` entry.
 
-        This single ordering drives the optimizer, the gradient layout and
-        the checkpoint format.  Derived tensors (tied adjoints) and shared
-        operators beyond stage 0 are not emitted.
+        Derived tensors (tied adjoints) and shared operators beyond stage 0
+        are not stored, so they are not emitted.
         """
-        for k, st in enumerate(self.stages):
-            pre = "stage%d." % k
-            yield pre + "step_size", st.step_size
-            yield pre + "thresh_raw", st.thresh_raw
-            for blk, name in ((st.ana, "ana"), (st.syn, "syn")):
-                yield pre + name + ".w1", blk.w1
-                yield pre + name + ".b1", blk.b1
-                yield pre + name + ".w2", blk.w2
-                yield pre + name + ".b2", blk.b2
-            if self.share_operator and k > 0:
-                continue
-            if self.mode == "structured":
-                yield pre + "op.gain", st.op.gain
-                if not self.tie_adjoint:
-                    yield pre + "op.adj_gain", st.op.adj_gain
-            elif self.mode == "dense":
-                yield pre + "op.mat", st.op.mat
-                if not self.tie_adjoint:
-                    yield pre + "op.adj_mat", st.op.adj_mat
+        layout = net_layout(self.height, self.width, self.num_stages, self.channels,
+                            self.mode, self.tie_adjoint, self.share_operator)
+        for k, path, _, _ in layout:
+            yield "stage%d.%s" % (k, path), attrgetter(path)(self.stages[k])
 
 
-def _make_op(mode, h, w, tie_adjoint):
-    if mode == "fixed":
-        return cdp.OperatorParams.fixed()
-    if mode == "structured":
-        return cdp.OperatorParams.structured(h, w, tie_adjoint)
-    if mode == "dense":
-        return cdp.OperatorParams.dense(h, w, tie_adjoint)
-    raise ValueError("unknown operator mode %r" % mode)
+@lru_cache(maxsize=32)
+def net_layout(h, w, num_stages, channels, mode, tie_adjoint=False, share_operator=False):
+    """Every stored tensor as (stage, path, shape, dtype), in checkpoint order.
 
-
-def _zero_stack(c_out_mid, c_in, c_out):
-    # channel plans: ana is 1->c->c, syn is c->c->1
-    return ConvStack(
-        w1=np.zeros((c_out_mid, c_in, 3, 3)),
-        b1=np.zeros(c_out_mid),
-        w2=np.zeros((c_out, c_out_mid, 3, 3)),
-        b2=np.zeros(c_out),
+    Per stage: step size, threshold, the analysis (1->c->c) and synthesis
+    (c->c->1) conv stacks, then the operator tensors of
+    ``cdp.operator_layout`` (stage 0 only when the operator is shared).
+    ``path`` is the attribute path inside the stage, e.g. "ana.w1" or
+    "op.gain".  This single order drives the builder, the optimizer, the
+    gradient layout and the checkpoint format.
+    """
+    c = channels
+    stage = [("step_size", (), _REAL), ("thresh_raw", (), _REAL)]
+    for blk, c_in, c_out in (("ana", 1, c), ("syn", c, 1)):
+        shapes = ((c, c_in, 3, 3), (c,), (c_out, c, 3, 3), (c_out,))
+        stage += [(blk + "." + name, shape, _REAL) for name, shape in zip(_STACK, shapes)]
+    op = [("op." + name, shape, dtype)
+          for name, shape, dtype in cdp.operator_layout(mode, h, w, tie_adjoint)]
+    return tuple(
+        (k,) + entry
+        for k in range(num_stages)
+        for entry in (stage + op if k == 0 or not share_operator else stage)
     )
+
+
+def build_net(h, w, num_stages, channels, num_masks, mode, tie_adjoint,
+              share_operator, fill):
+    """Network whose stored tensors are ``fill(stage, path, shape, dtype)``.
+
+    ``fill`` runs once per :func:`net_layout` entry, in layout order; a
+    shared operator is filled at stage 0 and reused by the later stages.
+    """
+    net = NetParams(
+        height=h, width=w, num_masks=num_masks, channels=channels, mode=mode,
+        tie_adjoint=tie_adjoint, share_operator=share_operator,
+    )
+    blank = [None] * len(_STACK)
+    for k in range(num_stages):
+        op = net.stages[0].op if share_operator and k > 0 else \
+            cdp.OperatorParams(mode=mode, tie_adjoint=tie_adjoint)
+        net.stages.append(StageParams(None, None, op, ConvStack(*blank), ConvStack(*blank)))
+    for k, path, shape, dtype in net_layout(h, w, num_stages, channels, mode,
+                                            tie_adjoint, share_operator):
+        stage = net.stages[k]
+        owner, _, attr = path.rpartition(".")  # "ana.w1" sets stage.ana.w1
+        setattr(attrgetter(owner)(stage) if owner else stage, attr, fill(k, path, shape, dtype))
+    return net
 
 
 def init_net(h, w, num_stages=7, channels=32, num_masks=4, mode="structured",
              tie_adjoint=False, share_operator=False, rng=None):
-    """Fresh network: Xavier conv weights, zero biases, t=0.01, tau=0.5."""
+    """Fresh network: Xavier conv weights, zero biases, t=0.01, tau=0.5 and
+    the operator at its initial value (``cdp.OperatorParams.initial``)."""
     if num_stages < 1:
         raise ValueError("need at least one stage, got %d" % num_stages)
     if rng is None:
         rng = SeededRng(0)
-    net = NetParams(
-        height=h, width=w, num_masks=num_masks, channels=channels, mode=mode,
-        tie_adjoint=tie_adjoint, share_operator=share_operator,
-    )
-    shared_op = _make_op(mode, h, w, tie_adjoint) if share_operator else None
-    c = channels
-    for _ in range(num_stages):
-        ana = ConvStack(
-            w1=xavier_conv_weight(rng, c, 1),
-            b1=np.zeros(c),
-            w2=xavier_conv_weight(rng, c, c),
-            b2=np.zeros(c),
-        )
-        syn = ConvStack(
-            w1=xavier_conv_weight(rng, c, c),
-            b1=np.zeros(c),
-            w2=xavier_conv_weight(rng, 1, c),
-            b2=np.zeros(1),
-        )
-        net.stages.append(
-            StageParams(
-                step_size=np.array(STEP_SIZE_INIT),
-                thresh_raw=np.array(THRESH_RAW_INIT),
-                op=shared_op if share_operator else _make_op(mode, h, w, tie_adjoint),
-                ana=ana,
-                syn=syn,
-            )
-        )
-    return net
+    scalars = {"step_size": STEP_SIZE_INIT, "thresh_raw": THRESH_RAW_INIT}
+    op = cdp.OperatorParams.initial(mode, h, w, tie_adjoint)
 
+    def fill(k, path, shape, dtype):
+        if path.startswith("op."):
+            return getattr(op, path[3:]).copy()
+        if len(shape) == 4:  # conv weight (c_out, c_in, 3, 3)
+            return xavier_conv_weight(rng, shape[0], shape[1])
+        return np.full(shape, scalars.get(path, 0.0))  # scalars, zero biases
 
-def alloc_net(h, w, num_stages, channels, num_masks, mode,
-              tie_adjoint=False, share_operator=False):
-    """Zero-weight skeleton with the right tensor shapes (checkpoint target)."""
-    net = NetParams(
-        height=h, width=w, num_masks=num_masks, channels=channels, mode=mode,
-        tie_adjoint=tie_adjoint, share_operator=share_operator,
-    )
-    shared_op = _make_op(mode, h, w, tie_adjoint) if share_operator else None
-    c = channels
-    for _ in range(num_stages):
-        net.stages.append(
-            StageParams(
-                step_size=np.array(0.0),
-                thresh_raw=np.array(0.0),
-                op=shared_op if share_operator else _make_op(mode, h, w, tie_adjoint),
-                ana=_zero_stack(c, 1, c),
-                syn=_zero_stack(c, c, 1),
-            )
-        )
-    return net
+    return build_net(h, w, num_stages, channels, num_masks, mode, tie_adjoint,
+                     share_operator, fill)
 
 
 # ---------------------------------------------------------------------------

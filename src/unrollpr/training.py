@@ -3,9 +3,10 @@
 Complex parameters are optimized in real coordinates: every tensor exposes
 a float64 view (real/imag interleaved for complex dtypes) and Adam moments
 live in that flat real layout.  The gradient dict produced by ``backward``
-is keyed exactly like ``NetParams.tensors()``, which is also the layout
-the checkpoint format serializes, so one declared order drives the
-optimizer, the file format and the finite-difference harness.
+is keyed exactly like ``NetParams.tensors()``, which walks
+``network.net_layout``; the checkpoint format serializes the same layout,
+so one declared order drives the optimizer, the file format and the
+finite-difference harness.
 
 Checkpoint container (all little-endian): magic "DLMM", u32 version 2,
 u32 fields K, c, J, h, w, operator mode code (0 fixed / 1 dense /
@@ -21,6 +22,7 @@ before it hashes anything or allocates the network.
 """
 
 import hashlib
+import math
 import os
 import struct
 import time
@@ -169,7 +171,6 @@ class TrainConfig:
     lr: float = 1e-3
     decay: float = 0.95
     decay_every: int = 2
-    alphas: tuple = (9, 27, 81)  # dataset-generation default, not resampled
     seed: int = 0
     num_stages: int = 7
     channels: int = 32
@@ -358,20 +359,18 @@ def _check_header(head):
     return version, k, c, j, h, w, mode, flags
 
 
-def _file_size(version, k, c, j, h, w, mode, flags):
-    """Exact checkpoint length implied by a validated header.
+def _floats(shape, dtype):
+    """Float64 count of a stored tensor (complex entries are two floats)."""
+    return math.prod(shape) * dtype.itemsize // 8
 
-    Mirrors the tensor order of ``NetParams.tensors()``: per stage the step
-    size, threshold and both conv stacks, then the operator tensors (stage
-    0 only when shared, one instead of two when tied).
+
+def _file_size(version, layout):
+    """Exact checkpoint length implied by a validated header's layout.
+
+    Every ``network.net_layout`` entry is a record (u64 count plus its
+    floats) three times: the parameter, then the two Adam moments.
     """
-    stage = [1, 1, 9 * c, c, 9 * c * c, c, 9 * c * c, c, 9 * c, 1]
-    op = {"fixed": [], "structured": [2 * h * w], "dense": [2 * (h * w) ** 2]}[mode]
-    op = op * (1 if flags & 1 else 2)
-    counts = []
-    for i in range(k):
-        counts += stage + (op if i == 0 or not flags & 2 else [])
-    tensors = sum(8 + 8 * n for n in counts)
+    tensors = sum(8 + 8 * _floats(shape, dtype) for _, _, shape, dtype in layout)
     # params, then m and v per tensor, then the one-float step counter
     return _HEADER.size + 3 * tensors + 16 + _TRAILER_SIZE[version]
 
@@ -408,30 +407,13 @@ def checkpoint_save(params, state, path):
     atomic_write(path, chunks())
 
 
-class _Reader:
-    """Fills arrays in place from consecutive (u64 count, float64 data) records."""
-
-    def __init__(self, data, pos):
-        self.data = data
-        self.pos = pos
-
-    def fill(self, arr, what):
-        dst = arr.view(np.float64)
-        (n,) = struct.unpack_from("<Q", self.data, self.pos)
-        if n != dst.size:
-            raise FormatError(
-                "tensor %s holds %d floats, expected %d" % (what, n, dst.size),
-                offset=self.pos,
-            )
-        dst[...] = np.frombuffer(self.data, "<f8", n, self.pos + 8).reshape(dst.shape)
-        self.pos += 8 + 8 * n
-
-
 def checkpoint_load(path):
     """Parse a version 1 or 2 checkpoint; returns (params, adam_state)."""
     with open(path, "rb") as f:
-        fields = _check_header(f.read(_HEADER.size))
-        expected = _file_size(*fields)
+        version, k, c, j, h, w, mode, flags = _check_header(f.read(_HEADER.size))
+        tie, share = bool(flags & 1), bool(flags & 2)
+        layout = network.net_layout(h, w, k, c, mode, tie, share)
+        expected = _file_size(version, layout)
         actual = os.fstat(f.fileno()).st_size
         if actual != expected:
             raise FormatError(
@@ -440,7 +422,6 @@ def checkpoint_load(path):
             )
         f.seek(0)
         data = memoryview(f.read(expected))
-    version, k, c, j, h, w, mode, flags = fields
     digest_at = expected - _TRAILER_SIZE[version]
     body = data[:digest_at]
     if version == 1:
@@ -449,18 +430,28 @@ def checkpoint_load(path):
         computed = hashlib.sha256(body).digest()
     if data[digest_at:] != computed:
         raise FormatError("digest mismatch, file corrupted", offset=digest_at)
-    net = network.alloc_net(
-        h, w, num_stages=k, channels=c, num_masks=j, mode=mode,
-        tie_adjoint=bool(flags & 1), share_operator=bool(flags & 2),
-    )
-    state = init_adam(net)
-    r = _Reader(body, _HEADER.size)
+    pos = _HEADER.size
+
+    def take(what, n):
+        """Copy the next (u64 count, float64 data) record out of the body."""
+        nonlocal pos
+        (count,) = struct.unpack_from("<Q", body, pos)
+        if count != n:
+            raise FormatError(
+                "tensor %s holds %d floats, expected %d" % (what, count, n), offset=pos
+            )
+        flat = np.frombuffer(body, "<f8", n, pos + 8).astype(np.float64)
+        pos += 8 + 8 * n
+        return flat
+
+    def fill(stage, path, shape, dtype):
+        what = "stage%d.%s" % (stage, path)
+        return take(what, _floats(shape, dtype)).view(dtype).reshape(shape)
+
+    net = network.build_net(h, w, k, c, j, mode, tie, share, fill)
+    m, v = {}, {}
     for name, arr in net.tensors():
-        r.fill(arr, name)
-    for name, _ in net.tensors():
-        r.fill(state.m[name], name + ".m")
-        r.fill(state.v[name], name + ".v")
-    step = np.zeros(1)
-    r.fill(step, "step counter")
-    state.step = int(step[0])
-    return net, state
+        m[name] = take(name + ".m", arr.nbytes // 8)
+        v[name] = take(name + ".v", arr.nbytes // 8)
+    step = take("step counter", 1)
+    return net, AdamState(m=m, v=v, step=int(step[0]))

@@ -2,8 +2,10 @@
 
 import hashlib
 import math
+import os
 import pathlib
 import re
+import stat
 import struct
 
 import numpy as np
@@ -474,6 +476,24 @@ def test_checkpoint_writes_version_2_sha256_trailer(tmp_path):
     assert data[-32:] == hashlib.sha256(data[:-32]).digest()
 
 
+# SHA-256 of the checkpoint each layout below saves, pinned from the
+# format's first version 2 writer so a refactor cannot move a byte
+LAYOUT_SHA256 = {
+    ("fixed", False, False): "3c3db45d8d226ec42abacff69ce17cb2116006efdec37acf729b8ba932e1f3f7",
+    ("fixed", True, False): "ffdf25f6deca2dba5a2a40268b778883f3ee75007c4bac93cb16454c271d7d91",
+    ("fixed", False, True): "fcd6df19b53b16ce550656a662983cff7201d183ddc87686fb6aff54680ac60b",
+    ("fixed", True, True): "5bef5a0ca05ce3aa0709aede5b37595609ee417dd2f2b188604611475763bb07",
+    ("structured", False, False): "8ecbac078a45f12f8df9a667d0d0358a6e2d1d142df255ddd0563dabe83ac473",
+    ("structured", True, False): "dd3d3e77358c48c43ec690fe80e12aab92bc90296154866efe9236ea61e99d9b",
+    ("structured", False, True): "edb98a7295ce73357b7ef6d094b87d18aad816bde048f25789a10a9786cf7c9d",
+    ("structured", True, True): "ff5e190b219f4f3b6d0dd36821c909d27984947c3a5127f72e7b5514130176d0",
+    ("dense", False, False): "33e0fa7a13bfc21858ecd596d1ad19b11864cf53f4b45e747f0604fe72a11e10",
+    ("dense", True, False): "f38fa3713fa4affcc0e396aa6a9ded65e1120d82c3bcf55e48727d2c6d3e8c2c",
+    ("dense", False, True): "7eab8737cd8fbc6d0fdb6c4609560d4828cc5208792a370d4f7b327354df055d",
+    ("dense", True, True): "8e1eeb022429630c3467fb58e1adbc1f40bb1231e983571f27e243133502cfff",
+}
+
+
 @pytest.mark.parametrize("mode", ["fixed", "structured", "dense"])
 @pytest.mark.parametrize("tie,share", [(False, False), (True, False),
                                        (False, True), (True, True)])
@@ -484,6 +504,7 @@ def test_checkpoint_roundtrip_every_layout(tmp_path, mode, tie, share):
     state.step = 3
     path = tmp_path / "m.ckpt"
     checkpoint_save(net, state, str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == LAYOUT_SHA256[mode, tie, share]
     loaded, lstate = checkpoint_load(str(path))
     assert (loaded.mode, loaded.tie_adjoint, loaded.share_operator) == (mode, tie, share)
     assert [n for n, _ in loaded.tensors()] == [n for n, _ in net.tensors()]
@@ -560,6 +581,23 @@ def test_checkpoint_v1_fixture_corruption_detected(tmp_path):
         checkpoint_load(str(bad))
 
 
+@pytest.mark.parametrize("tie,share", [(False, False), (True, True)])
+def test_checkpoint_dense_load_builds_no_dft(tmp_path, monkeypatch, tie, share):
+    net = init_net(4, 4, num_stages=2, channels=2, num_masks=2, mode="dense",
+                   tie_adjoint=tie, share_operator=share, rng=SeededRng(82))
+    state = init_adam(net)
+    path = tmp_path / "dense.ckpt"
+    checkpoint_save(net, state, str(path))
+
+    def no_dft(*args, **kwargs):
+        raise AssertionError("dft_matrix_2d called during a load")
+
+    monkeypatch.setattr(cdp, "dft_matrix_2d", no_dft)
+    loaded, lstate = checkpoint_load(str(path))
+    _assert_same_state(net, state, loaded, lstate)
+    assert (loaded.stages[1].op is loaded.stages[0].op) == share
+
+
 def test_checkpoint_oversized_header_rejected_before_allocation(tmp_path, monkeypatch):
     k, c, h, w = 64, 1024, 64, 64
     head = struct.pack("<4s8I", b"DLMM", 2, k, c, 4, h, w, 1, 0)
@@ -572,9 +610,9 @@ def test_checkpoint_oversized_header_rejected_before_allocation(tmp_path, monkey
     expected = len(head) + 3 * k * (12 * 8 + 8 * floats) + 16 + 32
 
     def no_alloc(*args, **kwargs):
-        raise AssertionError("alloc_net called for a rejected header")
+        raise AssertionError("build_net called for a rejected header")
 
-    monkeypatch.setattr(network, "alloc_net", no_alloc)
+    monkeypatch.setattr(network, "build_net", no_alloc)
     with pytest.raises(FormatError) as info:
         checkpoint_load(str(bad))
     assert re.search(r"\b%d bytes\b.*\b%d\b" % (actual, expected), str(info.value))
@@ -592,3 +630,23 @@ def test_cli_eval_rejects_non_pow2_header_with_io_exit(tmp_path):
     ds = tmp_path / "data"
     datakit.generate_dataset(str(ds), 1, 8, 8, 3)
     assert main(["eval", "--ckpt", str(bad), "--data", str(ds)]) == 3
+
+
+@pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)],
+                         ids=["umask022", "umask077"])
+def test_written_files_follow_umask(tmp_path, umask, mode):
+    data = tmp_path / "data"
+    log = tmp_path / "log.csv"
+    ckpt = tmp_path / "m.ckpt"
+    old = os.umask(umask)
+    try:
+        datakit.generate_dataset(str(data), 2, 8, 8, 3)
+        config = TrainConfig(epochs=1, batch_size=2, num_stages=1, channels=1)
+        _, dataset = datakit.load_dataset(str(data))
+        net, _, state = train_full(dataset, config, log_path=str(log))
+        checkpoint_save(net, state, str(ckpt))
+    finally:
+        os.umask(old)
+    for path in (ckpt, log, data / datakit.MANIFEST_NAME, data / "img_0000.pgm"):
+        assert stat.S_IMODE(path.stat().st_mode) == mode, path
+    assert not list(tmp_path.rglob(".tmp-*"))
