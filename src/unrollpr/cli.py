@@ -117,7 +117,7 @@ def cmd_eval(args):
             rows.append((name, mv.alpha, metrics.psnr(img, img), metrics.ssim(img, img)))
     else:
         images, ys, masks = training._stack_samples(dataset)
-        x, _ = network.net_forward(ys, masks, net)
+        x = training.forward_chunked(net, ys, masks)
         for i in range(len(dataset)):
             name = manifest.records[i].image or ("synth-%d" % i)
             rows.append((

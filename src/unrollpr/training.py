@@ -39,6 +39,10 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
+# images per net_forward call when scoring a whole set: bounds the tape
+# held at once, and batch invariance keeps the outputs bit-identical
+EVAL_CHUNK = 20
+
 CKPT_MAGIC = b"DLMM"
 CKPT_VERSION = 2
 _TRAILER_SIZE = {1: 8, 2: 32}  # readable versions -> digest bytes
@@ -50,6 +54,8 @@ _HEADER = struct.Struct("<4s8I")
 # size arithmetic or allocation
 _FIELD_CAPS = (("K", 64), ("c", 1024), ("J", 64), ("h", 4096), ("w", 4096))
 _KNOWN_FLAGS = 3
+# a save hashes and writes records in buffers of up to this many bytes
+_GATHER_BYTES = 1 << 16
 
 FNV_OFFSET = 0xCBF29CE484222325
 FNV_PRIME = 0x100000001B3
@@ -238,9 +244,17 @@ def _chunk_grads(net, images, ys, masks, idx, batch_scale, threads):
     return total_sq / (batch_scale * n), grads
 
 
+def forward_chunked(net, ys, masks):
+    """Reconstruct a stacked set, EVAL_CHUNK images per forward call."""
+    return np.concatenate([
+        network.net_forward(ys[i:i + EVAL_CHUNK], masks[i:i + EVAL_CHUNK], net)[0]
+        for i in range(0, len(ys), EVAL_CHUNK)
+    ])
+
+
 def _val_metrics(net, val_pack):
     images, ys, masks = val_pack
-    x, _ = network.net_forward(ys, masks, net)
+    x = forward_chunked(net, ys, masks)
     ps = [metrics.psnr(x[i], images[i]) for i in range(len(images))]
     ss = [metrics.ssim(x[i], images[i]) for i in range(len(images))]
     return float(np.mean(ps)), float(np.mean(ss))
@@ -376,22 +390,34 @@ def _file_size(version, layout):
 
 
 def _pieces(params, state):
-    """The version 2 payload as byte buffers, without copying tensor data."""
+    """The version 2 payload as byte buffers.
+
+    Consecutive records are gathered into buffers of at most _GATHER_BYTES;
+    a tensor that does not fit in the current buffer goes out as a
+    memoryview of its data, uncopied.
+    """
     flags = (1 if params.tie_adjoint else 0) | (2 if params.share_operator else 0)
     head = _HEADER.pack(
         CKPT_MAGIC, CKPT_VERSION, params.num_stages, params.channels,
         params.num_masks, params.height, params.width, _MODE_CODES[params.mode], flags,
     )
     _check_header(head)  # never write a file that checkpoint_load rejects
-    yield head
     arrays = [arr for _, arr in params.tensors()]
     for name, _ in params.tensors():
         arrays += [state.m[name], state.v[name]]
     arrays.append(np.array(float(state.step)))
+    buf = bytearray(head)
     for a in arrays:
         flat = _real_flat(a).astype("<f8", copy=False)
-        yield struct.pack("<Q", flat.size)
-        yield memoryview(flat).cast("B")
+        buf += struct.pack("<Q", flat.size)
+        data = memoryview(flat).cast("B")
+        if len(buf) + len(data) <= _GATHER_BYTES:
+            buf += data
+        else:
+            yield buf
+            yield data
+            buf = bytearray()
+    yield buf
 
 
 def checkpoint_save(params, state, path):

@@ -5,7 +5,7 @@ import sys
 
 import numpy as np
 
-from unrollpr import training
+from unrollpr import network, training
 from unrollpr.cli import main
 from unrollpr.field import STREAM_INIT, derive_rng
 from unrollpr.network import init_net
@@ -316,3 +316,34 @@ def test_module_entry_point_selfcheck_quick():
     )
     assert proc.returncode == 0
     assert "selfcheck passed" in proc.stdout
+
+
+def _record_forward_sizes(monkeypatch):
+    sizes = []
+    real = network.net_forward
+
+    def wrapped(y, masks, params, x0=None):
+        sizes.append(np.shape(y)[0])
+        return real(y, masks, params, x0)
+
+    monkeypatch.setattr(network, "net_forward", wrapped)
+    return sizes
+
+
+def test_eval_runs_in_bounded_chunks_with_whole_set_output(tmp_path, capsys, monkeypatch):
+    n = 2 * training.EVAL_CHUNK + 3
+    data = _gen(tmp_path, count=n, size="16x16", seed=16)
+    ckpt = _train(tmp_path, data, epochs=0)
+    sizes = _record_forward_sizes(monkeypatch)
+    capsys.readouterr()
+    assert main(["eval", "--ckpt", str(ckpt), "--data", str(data),
+                 "--csv", str(tmp_path / "chunked.csv")]) == 0
+    chunked = capsys.readouterr().out
+    assert sizes == [training.EVAL_CHUNK, training.EVAL_CHUNK, 3]
+    sizes.clear()
+    monkeypatch.setattr(training, "EVAL_CHUNK", n)
+    assert main(["eval", "--ckpt", str(ckpt), "--data", str(data),
+                 "--csv", str(tmp_path / "whole.csv")]) == 0
+    assert sizes == [n]
+    assert capsys.readouterr().out == chunked
+    assert (tmp_path / "chunked.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()

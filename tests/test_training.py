@@ -348,6 +348,26 @@ def test_train_with_validation_writes_metrics(tmp_path):
         assert -1.0 <= float(cells[4]) <= 1.0  # val ssim present
 
 
+def test_validation_scores_in_bounded_chunks(monkeypatch):
+    n = training.EVAL_CHUNK + 5
+    pack = training._stack_samples(_toy_dataset(n, 16, 16, seed=62))
+    net = init_net(16, 16, num_stages=2, channels=2, num_masks=pack[1].shape[1],
+                   rng=SeededRng(63))
+    sizes = []
+    real = network.net_forward
+
+    def wrapped(y, masks, params, x0=None):
+        sizes.append(len(y))
+        return real(y, masks, params, x0)
+
+    monkeypatch.setattr(network, "net_forward", wrapped)
+    chunked = training._val_metrics(net, pack)
+    assert sizes == [training.EVAL_CHUNK, 5]
+    monkeypatch.setattr(training, "EVAL_CHUNK", n)
+    assert training._val_metrics(net, pack) == chunked
+    assert sizes[2:] == [n]
+
+
 def test_tied_adjoint_reduces_tensor_count():
     a = init_net(8, 8, num_stages=2, channels=2, num_masks=2,
                  mode="structured", tie_adjoint=False, rng=SeededRng(1))
