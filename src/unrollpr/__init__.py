@@ -7,6 +7,8 @@ independent adjoint) is trainable; gradients, the optimizer and all file
 formats are implemented directly on numpy arrays.
 """
 
+import ctypes
+
 from .cdp import (
     MaskSet,
     MeasurementVector,
@@ -41,6 +43,36 @@ from .training import (
     lr_schedule,
     train,
 )
+
+# glibc mallopt parameters (malloc.h) and the values set for them
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_TRIM_BYTES = 1 << 30  # free heap top kept: room for a freed 200-image desk eval tape
+_MMAP_BYTES = 32 << 20  # glibc's ceiling on 64-bit; desk eval arrays are ~14 MB
+
+
+def _keep_freed_memory():
+    """Keep freed arrays on malloc's free lists instead of the kernel's.
+
+    Every training step and eval frees its whole forward tape.  Under
+    glibc's dynamic thresholds the large arrays are mmap'd and the top of
+    the heap is trimmed once they are freed, so the next step faults the
+    same pages in again and the kernel zeroes each one.  Fixed thresholds
+    (which also switch the dynamic adjustment off) serve arrays below
+    ``_MMAP_BYTES`` from the heap and trim only past ``_TRIM_BYTES`` of free
+    top.  Where libc has no ``mallopt`` (macOS, Windows) this does nothing.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_BYTES)
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_BYTES)
+
+
+_keep_freed_memory()
 
 __version__ = "0.1.0"
 

@@ -25,6 +25,7 @@ cache that the vjp consumes.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -35,10 +36,16 @@ DENSE_SIZE_LIMIT = 4096  # dense transforms store N^2 complex entries
 
 @dataclass
 class MaskSet:
-    """J unit-modulus modulation masks of shape (J, h, w)."""
+    """J unit-modulus modulation masks of shape (J, h, w), or a batch of
+    such sets (B, J, h, w); the masks are never modified once built."""
 
     masks: np.ndarray
     seed: int = None
+
+    @cached_property
+    def conj(self):
+        """conj(masks), computed on first use and kept with the set."""
+        return np.conj(self.masks)
 
     @property
     def num_masks(self):
@@ -168,27 +175,37 @@ def _modulate(x, masks):
     return masks * x[..., None, :, :]
 
 
+def _mask_set(mask_set):
+    """A MaskSet as is; a raw (..., J, h, w) mask array wrapped in one.
+
+    Passing the same MaskSet to several calls conjugates its masks once.
+    """
+    if isinstance(mask_set, MaskSet):
+        return mask_set
+    return MaskSet(np.asarray(mask_set))
+
+
 def operator_apply_fwd(x, mask_set, params):
     """W x for a real or complex field x of shape (..., h, w).
 
     Returns (z, cache) with z of shape (..., J, h, w).  ``mask_set`` may be
     a MaskSet or a raw (..., J, h, w) array (batched per-sample masks).
     """
-    d = np.asarray(getattr(mask_set, "masks", mask_set))
-    u = _modulate(np.asarray(x), d)
+    ms = _mask_set(mask_set)
+    u = _modulate(np.asarray(x), ms.masks)
     if params.mode == "fixed":
         z = fft2_unitary(u)
-        cache = {"mode": "fixed", "masks": d}
+        cache = {"mode": "fixed", "conj_masks": ms.conj}
     elif params.mode == "structured":
         f = fft2_unitary(u)
         z = params.gain * f
-        cache = {"mode": "structured", "masks": d, "gain": params.gain, "f": f}
+        cache = {"mode": "structured", "conj_masks": ms.conj, "gain": params.gain, "f": f}
     elif params.mode == "dense":
         lead = u.shape[:-2]
         n = u.shape[-2] * u.shape[-1]
         uf = u.reshape(lead + (n,))
         z = (uf @ params.mat.T).reshape(u.shape)
-        cache = {"mode": "dense", "masks": d, "mat": params.mat, "uf": uf}
+        cache = {"mode": "dense", "conj_masks": ms.conj, "mat": params.mat, "uf": uf}
     else:
         raise ValueError("unknown operator mode %r" % params.mode)
     return z, cache
@@ -205,7 +222,6 @@ def operator_apply_vjp(dz, cache):
     dx is the complex cotangent of x (take .real when x was real);
     grads maps parameter names ("gain" or "mat") to their cotangents.
     """
-    d = cache["masks"]
     grads = {}
     if cache["mode"] == "fixed":
         du = ifft2_unitary(dz)
@@ -223,7 +239,7 @@ def operator_apply_vjp(dz, cache):
         # sum of outer products over all leading axes
         grads["mat"] = dzf.reshape(-1, n).T @ np.conj(uf.reshape(-1, n))
         du = (dzf @ np.conj(cache["mat"])).reshape(dz.shape)
-    dx = np.sum(np.conj(d) * du, axis=-3)
+    dx = np.sum(cache["conj_masks"] * du, axis=-3)
     return dx, grads
 
 
@@ -241,7 +257,8 @@ def operator_adjoint_fwd(z, mask_set, params):
 
     Returns (s, cache) with s of shape (..., h, w), complex.
     """
-    d = np.asarray(getattr(mask_set, "masks", mask_set))
+    ms = _mask_set(mask_set)
+    d = ms.masks
     z = np.asarray(z)
     if params.mode == "fixed":
         q = ifft2_unitary(z)
@@ -272,7 +289,7 @@ def operator_adjoint_fwd(z, mask_set, params):
         }
     else:
         raise ValueError("unknown operator mode %r" % params.mode)
-    s = np.sum(np.conj(d) * q, axis=-3)
+    s = np.sum(ms.conj * q, axis=-3)
     return s, cache
 
 
@@ -284,8 +301,9 @@ def operator_adjoint(z, mask_set, params):
 def operator_adjoint_vjp(ds, cache):
     """Pull ds back through W^H.  Returns (dz, grads).
 
-    With tie_adjoint the adjoint-side cotangent is re-expressed on the
-    forward parameters, so grads again uses the "gain" / "mat" keys.
+    ds may be real or complex.  With tie_adjoint the adjoint-side
+    cotangent is re-expressed on the forward parameters, so grads again
+    uses the "gain" / "mat" keys.
     """
     d = cache["masks"]
     dq = d * ds[..., None, :, :]

@@ -210,14 +210,15 @@ def sgd_step_fwd(x, stage, y, masks):
     z, op_cache = cdp.operator_apply_fwd(x, masks, stage.op)
     mag = np.abs(z)
     safe = np.maximum(mag, PHASE_EPS)
-    ph = z / safe
-    resid = z - y * ph
+    ph = z * (1.0 / safe)  # z / safe bit for bit, without a complex division
+    fit = np.divide(y, safe, out=safe)
+    resid = z * np.subtract(1.0, fit, out=fit)  # z - y * ph
     s, adj_cache = cdp.operator_adjoint_fwd(resid, masks, stage.op)
     t = float(stage.step_size)
     s_re = s.real
     r = x - t * s_re
     cache = {
-        "op": op_cache, "adj": adj_cache, "z": z, "mag": mag, "ph": ph,
+        "op": op_cache, "adj": adj_cache, "mag": mag, "ph": ph,
         "y": y, "s_re": s_re, "t": t,
     }
     return r, cache
@@ -227,17 +228,24 @@ def sgd_step_bwd(dr, cache):
     """Returns (dx, grads); grads holds step_size plus operator cotangents."""
     grads = {}
     grads["step_size"] = np.array(-np.sum(dr * cache["s_re"]))
-    ds = (-cache["t"] * dr).astype(np.complex128)
-    dresid, adj_grads = cdp.operator_adjoint_vjp(ds, cache["adj"])
+    dz, adj_grads = cdp.operator_adjoint_vjp(-cache["t"] * dr, cache["adj"])
     for k, v in adj_grads.items():
         grads["op." + k] = grads.get("op." + k, 0) + v
-    dz = dresid.copy()
-    dph = -cache["y"] * dresid
-    # phase(z) = z / max(|z|, eps): curved branch above eps, linear below
-    z, mag = cache["z"], cache["mag"]
-    big = mag > PHASE_EPS
-    m3 = np.where(big, mag, 1.0) ** 3
-    dz += np.where(big, -1j * z * (np.conj(dph) * z).imag / m3, dph / PHASE_EPS)
+    # resid = z - y * phase(z), phase(z) = z / max(|z|, eps).  Above eps the
+    # phase pulls dph = -y * dresid back to 1j * ph * Im(conj(dph) * ph) / |z|,
+    # i.e. dz += 1j * ph * c with real c = y * Im(conj(dresid) * ph) / |z|;
+    # at or below eps the phase is linear and dz += dph / eps.
+    ph, mag, y = cache["ph"], cache["mag"], cache["y"]
+    small = mag <= PHASE_EPS
+    dres_small, y_small = dz[small], np.broadcast_to(y, mag.shape)[small]
+    re, im = dz.real, dz.imag  # views: dz is a fresh array, updated in place
+    c = re * ph.imag
+    c -= im * ph.real
+    c *= y
+    c /= np.maximum(mag, PHASE_EPS)
+    re -= ph.imag * c
+    im += ph.real * c
+    dz[small] = dres_small + (-y_small * dres_small) / PHASE_EPS
     dxc, op_grads = cdp.operator_apply_vjp(dz, cache["op"])
     for k, v in op_grads.items():
         grads["op." + k] = grads.get("op." + k, 0) + v
@@ -258,15 +266,15 @@ def sgd_step(x, stage, y, masks):
 
 def _stack_fwd(x4, blk):
     c1, k1 = conv2d_fwd(x4, blk.w1, blk.b1)
-    a1 = np.maximum(c1, 0.0)
+    a1 = np.maximum(c1, 0.0, out=c1)  # in place: only the ReLU output is kept
     z2, k2 = conv2d_fwd(a1, blk.w2, blk.b2)
-    return z2, (k1, c1, k2)
+    return z2, (k1, k2)
 
 
 def _stack_bwd(dz2, cache):
-    k1, c1, k2 = cache
+    k1, k2 = cache
     da1, dw2, db2 = conv2d_bwd(dz2, k2)
-    dc1 = da1 * (c1 > 0)
+    dc1 = np.multiply(da1, k2[0] > 0, out=da1)  # relu(c) > 0 exactly where c > 0
     dx4, dw1, db1 = conv2d_bwd(dc1, k1)
     return dx4, {"w1": dw1, "b1": db1, "w2": dw2, "b2": db2}
 
@@ -319,7 +327,7 @@ def ppm_bwd(dx, cache):
     code, tau = cache["code"], cache["tau"]
     active = np.abs(code) > tau  # dead zone: derivative 0 at |code| <= tau
     dcode = np.where(active, dshrunk, 0.0)
-    dtau = -np.sum(np.sign(code) * np.where(active, dshrunk, 0.0))
+    dtau = -np.sum(np.sign(code) * dcode)
     dthresh_raw = np.array(dtau * float(sigmoid(cache["thresh_raw"])))
     dr4, ana_g = _stack_bwd(dcode, cache["ana"])
     dr = dx + dr4[:, 0]
@@ -367,9 +375,9 @@ def net_forward(y, masks, params, x0=None):
             "measurements %r do not match network (J=%d, %dx%d)"
             % (yb.shape, params.num_masks, h, w)
         )
-    d = np.asarray(getattr(masks, "masks", masks))
-    if d.shape[-3:] != (params.num_masks, h, w):
-        raise ValueError("mask shape %r does not match network" % (d.shape,))
+    ms = cdp.MaskSet(np.asarray(getattr(masks, "masks", masks)))  # conjugated once
+    if ms.masks.shape[-3:] != (params.num_masks, h, w):
+        raise ValueError("mask shape %r does not match network" % (ms.masks.shape,))
     if x0 is None:
         xb = np.ones((b, h, w))
     else:
@@ -381,7 +389,7 @@ def net_forward(y, masks, params, x0=None):
     x = xb
     caches = []
     for stage in params.stages:
-        r, c_sgd = sgd_step_fwd(x, stage, yb, d)
+        r, c_sgd = sgd_step_fwd(x, stage, yb, ms)
         x, c_ppm = ppm_fwd(r, stage)
         caches.append((c_sgd, c_ppm))
     tape = ForwardTape(

@@ -3,15 +3,19 @@
 import numpy as np
 import pytest
 
+from unrollpr import cdp
 from unrollpr.cdp import MaskSet, OperatorParams, make_cdp_masks, measure
 from unrollpr.field import SeededRng
 from unrollpr.network import (
+    PHASE_EPS,
     ConvStack,
     StageParams,
     init_net,
     net_forward,
     ppm_forward,
     sgd_step,
+    sgd_step_bwd,
+    sgd_step_fwd,
     soft_threshold,
     softplus,
     transform_forward,
@@ -110,6 +114,58 @@ def test_sgd_step_zero_step_is_identity():
     y = measure(x, ms, 27.0, SeededRng(15))
     st = _zero_stage(8, 8, step=0.0)
     assert np.array_equal(sgd_step(x, st, y.values, ms), x)
+
+
+def _phase_pullback_oracle(dresid, z, y):
+    """dz from dresid through resid = z - y * z / max(|z|, eps), written as
+    both branches in full on the complex field z."""
+    dz = dresid.copy()
+    dph = -y * dresid
+    mag = np.abs(z)
+    big = mag > PHASE_EPS
+    m3 = np.where(big, mag, 1.0) ** 3
+    dz += np.where(big, -1j * z * (np.conj(dph) * z).imag / m3, dph / PHASE_EPS)
+    return dz
+
+
+def test_sgd_step_phase_derivative_matches_full_formula(monkeypatch):
+    # batch of 4 scaled so |Wx| is exactly 0 (image 0), straddles PHASE_EPS
+    # (images 1, 2) and sits far above it (image 3)
+    h = w = 8
+    b, j = 4, 3
+    rng = SeededRng(60)
+    stage = _zero_stage(h, w, mode="structured", step=0.3)
+    stage.op.gain[...] = 1 + 0.3 * (rng.normal(h * w) + 1j * rng.normal(h * w)).reshape(h, w)
+    stage.op.adj_gain[...] = np.conj(stage.op.gain) + 0.1 * rng.normal(h * w).reshape(h, w)
+    ms = MaskSet(np.stack([make_cdp_masks(SeededRng(61 + i), j, h, w).masks
+                           for i in range(b)]))
+    scale = np.array([0.0, 3e-13, 2e-12, 1.0])[:, None, None]
+    x = scale * rng.uniform(b * h * w).reshape(b, h, w)
+    y = rng.uniform(b * j * h * w).reshape(b, j, h, w)
+    z = cdp.operator_apply(x, ms, stage.op)
+    mag = np.abs(z)
+    assert (mag == 0).any() and (mag[1:3] <= PHASE_EPS).any()
+    assert (mag[1:3] > PHASE_EPS).any() and (mag[3] > PHASE_EPS).all()
+
+    r, cache = sgd_step_fwd(x, stage, y, ms)
+    dr = rng.normal(b * h * w).reshape(b, h, w)
+    dresid, _ = cdp.operator_adjoint_vjp(-cache["t"] * dr, cache["adj"])
+    want = _phase_pullback_oracle(dresid, z, y)
+    seen = []
+    vjp = cdp.operator_apply_vjp
+    monkeypatch.setattr(cdp, "operator_apply_vjp",
+                        lambda dz, c: (seen.append(dz.copy()), vjp(dz, c))[1])
+    sgd_step_bwd(dr, cache)
+    got = seen[0]
+    small = mag <= PHASE_EPS
+    for k in range(b):
+        for part in (small[k], ~small[k]):  # each branch of each image
+            if part.any():
+                scale_k = np.max(np.abs(want[k][part]))
+                assert scale_k > 0
+                assert np.max(np.abs(got[k][part] - want[k][part])) <= 1e-14 * scale_k
+    # the linear branch is the same arithmetic, so it matches bit for bit
+    assert np.array_equal(got[small], want[small])
 
 
 # ---------------------------------------------------------------------------
