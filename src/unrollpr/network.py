@@ -24,7 +24,7 @@ from operator import attrgetter
 import numpy as np
 
 from . import cdp
-from .conv import conv2d_bwd, conv2d_fwd, xavier_conv_weight
+from .conv import conv2d_bwd, conv2d_fwd, rows, xavier_conv_weight
 from .field import SeededRng
 
 PHASE_EPS = 1e-12
@@ -52,12 +52,16 @@ def sigmoid(x):
     return out
 
 
-def soft_threshold(z, tau):
-    """sign(z) * max(|z| - tau, 0); the prox of tau*||.||_1."""
+def soft_threshold(z, tau, out=None):
+    """sign(z) * max(|z| - tau, 0); the prox of tau*||.||_1.
+
+    Computed as z - clip(z, -tau, tau), which gives the same values up to
+    the sign of zero; ``out`` may be ``z`` itself.
+    """
     if tau < 0:
         raise ValueError("threshold must be nonnegative, got %r" % (tau,))
     z = np.asarray(z)
-    return np.sign(z) * np.maximum(np.abs(z) - tau, 0.0)
+    return np.subtract(z, np.clip(z, -tau, tau), out=out)
 
 
 @dataclass
@@ -266,16 +270,18 @@ def sgd_step(x, stage, y, masks):
 
 def _stack_fwd(x4, blk):
     c1, k1 = conv2d_fwd(x4, blk.w1, blk.b1)
-    a1 = np.maximum(c1, 0.0, out=c1)  # in place: only the ReLU output is kept
-    z2, k2 = conv2d_fwd(a1, blk.w2, blk.b2)
+    a1 = rows(c1)
+    np.maximum(a1, 0.0, out=a1)  # in place: only the ReLU output is kept
+    z2, k2 = conv2d_fwd(c1, blk.w2, blk.b2)
     return z2, (k1, k2)
 
 
 def _stack_bwd(dz2, cache):
     k1, k2 = cache
     da1, dw2, db2 = conv2d_bwd(dz2, k2)
-    dc1 = np.multiply(da1, k2[0] > 0, out=da1)  # relu(c) > 0 exactly where c > 0
-    dx4, dw1, db1 = conv2d_bwd(dc1, k1)
+    dc1 = rows(da1)
+    np.multiply(dc1, rows(k2[0]) > 0, out=dc1)  # relu(c) > 0 exactly where c > 0
+    dx4, dw1, db1 = conv2d_bwd(da1, k1)
     return dx4, {"w1": dw1, "b1": db1, "w2": dw2, "b2": db2}
 
 
@@ -307,14 +313,19 @@ def transform_inverse(code, stack):
 
 
 def ppm_fwd(r, stage):
-    """Residual prox step, batched (B, h, w)."""
+    """Residual prox step, batched (B, h, w).
+
+    The codes are shrunk in place, so the cache holds only the shrunk codes
+    (``cache["shrunk"]``).  For |code| > tau the shrunk value is nonzero
+    exactly, so the live-code fraction is the share of ``shrunk != 0``.
+    """
     code, ana_cache = _stack_fwd(r[:, None], stage.ana)
     tau = float(softplus(stage.thresh_raw))
-    shrunk = soft_threshold(code, tau)
-    out4, syn_cache = _stack_fwd(shrunk, stage.syn)
+    soft_threshold(rows(code), tau, out=rows(code))  # 0 stays 0 in the pads
+    out4, syn_cache = _stack_fwd(code, stage.syn)
     x = r + out4[:, 0]
     cache = {
-        "ana": ana_cache, "syn": syn_cache, "code": code, "tau": tau,
+        "ana": ana_cache, "syn": syn_cache, "shrunk": code, "tau": tau,
         "thresh_raw": stage.thresh_raw,
     }
     return x, cache
@@ -322,14 +333,14 @@ def ppm_fwd(r, stage):
 
 def ppm_bwd(dx, cache):
     """Returns (dr, grads) with conv and threshold cotangents."""
-    dout4 = dx[:, None]
-    dshrunk, syn_g = _stack_bwd(dout4, cache["syn"])
-    code, tau = cache["code"], cache["tau"]
-    active = np.abs(code) > tau  # dead zone: derivative 0 at |code| <= tau
-    dcode = np.where(active, dshrunk, 0.0)
-    dtau = -np.sum(np.sign(code) * dcode)
+    dshrunk, syn_g = _stack_bwd(dx[:, None], cache["syn"])
+    shrunk = rows(cache["shrunk"])
+    dcode = rows(dshrunk)
+    # dead zone |code| <= tau, derivative 0: exactly where shrunk == 0
+    np.multiply(dcode, shrunk != 0, out=dcode)
+    dtau = -np.vdot(np.sign(shrunk), dcode)
     dthresh_raw = np.array(dtau * float(sigmoid(cache["thresh_raw"])))
-    dr4, ana_g = _stack_bwd(dcode, cache["ana"])
+    dr4, ana_g = _stack_bwd(dshrunk, cache["ana"])
     dr = dx + dr4[:, 0]
     grads = {"thresh_raw": dthresh_raw}
     for k, v in ana_g.items():

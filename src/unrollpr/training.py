@@ -300,17 +300,18 @@ def train_full(dataset, config, net=None, val_dataset=None, log_path=None):
         lr = lr_schedule(epoch, config)
         perm = shuffle_rng.permutation(ns)
         sq_sum = 0.0
-        for i in range(0, ns, config.batch_size):
+        for step, i in enumerate(range(0, ns, config.batch_size), 1):
             idx = perm[i:i + config.batch_size]
             loss, grads = _chunk_grads(
                 net, images, ys, masks, idx, len(idx), config.threads
             )
+            if not np.isfinite(loss):  # before the update: the weights stay finite
+                raise FloatingPointError(
+                    "training diverged at epoch %d step %d: loss %r" % (epoch + 1, step, loss))
             sq_sum += loss * len(idx)
             adam_update(net, grads, state, lr)
         epoch_loss = sq_sum / ns
         history.append(epoch_loss)
-        if not np.isfinite(epoch_loss):
-            raise FloatingPointError("training diverged at epoch %d" % (epoch + 1))
         vp, vs = _val_metrics(net, val_pack) if val_pack else ("", "")
         seconds = time.perf_counter() - t0
         rows.append((epoch + 1, lr, epoch_loss, vp, vs, seconds))

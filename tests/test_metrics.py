@@ -99,10 +99,12 @@ def test_ssim_identical_constant_images_is_one():
     assert ssim(x, x) == 1.0
 
 
-def test_ssim_matches_loop_reference():
+@pytest.mark.parametrize("shape", [(16, 16), (16, 32), (32, 16)], ids="{0[0]}x{0[1]}".format)
+def test_ssim_matches_loop_reference(shape):
     rng = SeededRng(5)
-    x = rng.uniform(256).reshape(16, 16)
-    y = np.clip(x + 0.2 * rng.normal(256).reshape(16, 16), 0.0, 1.0)
+    n = shape[0] * shape[1]
+    x = rng.uniform(n).reshape(shape)
+    y = np.clip(x + 0.2 * rng.normal(n).reshape(shape), 0.0, 1.0)
     assert abs(ssim(x, y) - _ssim_reference(x, y)) <= 1e-12
     assert abs(ssim(x, 1.0 - x) - _ssim_reference(x, 1.0 - x)) <= 1e-12
 

@@ -15,7 +15,7 @@ from unrollpr import cdp, datakit, network, training
 from unrollpr.cli import main
 from unrollpr.datakit import DatasetManifest, SampleRecord, build_dataset
 from unrollpr.errors import FormatError, UnsupportedVersionError
-from unrollpr.field import STREAM_INIT, SeededRng, derive_rng
+from unrollpr.field import STREAM_INIT, STREAM_SHUFFLE, SeededRng, derive_rng
 from unrollpr.network import init_net, net_forward
 from unrollpr.training import (
     TrainConfig,
@@ -302,6 +302,29 @@ def test_train_loss_history_finite_and_decreasing_trend():
     assert len(history) == 4
     assert all(np.isfinite(history))
     assert history[-1] < history[0]
+
+
+def test_train_stops_at_the_first_nonfinite_step(monkeypatch):
+    ds = _toy_dataset(8, 8, 8, seed=20)
+    cfg = TrainConfig(epochs=2, batch_size=2, seed=5, num_stages=2, channels=2)
+    perm = derive_rng(cfg.seed, STREAM_SHUFFLE).permutation(len(ds))
+    ds[int(perm[5])][1].values[0, 0, 0] = np.nan  # third batch of epoch 1
+    net = init_net(8, 8, num_stages=2, channels=2, num_masks=4, rng=SeededRng(1))
+    after = []
+    real = training.adam_update
+
+    def recording(params, grads, state, lr):
+        real(params, grads, state, lr)
+        after.append({n: a.copy() for n, a in params.tensors()})
+
+    monkeypatch.setattr(training, "adam_update", recording)
+    with pytest.raises(FloatingPointError, match=r"epoch 1 step 3\b"):
+        train_full(ds, cfg, net=net)
+    # the NaN batch made no update: the weights are those after step 2
+    assert len(after) == 2
+    for n, a in net.tensors():
+        assert np.isfinite(a).all()
+        assert np.array_equal(a, after[-1][n])
 
 
 def test_train_fixed_mode_has_no_operator_tensors():
