@@ -203,7 +203,9 @@ def build_parser():
     t.add_argument("--seed", type=int, default=0)
     t.add_argument("--val-data", default=None)
     t.add_argument("--log", default=None, help="CSV log path (default OUT.csv)")
-    t.add_argument("--threads", type=int, default=1)
+    t.add_argument("--threads", type=int, default=1,
+                   help="gradient chunks per batch, computed at once: the extra "
+                        "ones in worker processes (at most one per usable CPU)")
     t.set_defaults(fn=cmd_train)
 
     e = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")

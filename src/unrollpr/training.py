@@ -23,9 +23,12 @@ before it hashes anything or allocates the network.
 
 import hashlib
 import math
+import multiprocessing
 import os
+import signal
 import struct
 import time
+import traceback
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -212,25 +215,160 @@ def _stack_samples(dataset):
     return images, ys, np.stack(masks)
 
 
+# ---------------------------------------------------------------------------
+# chunks in worker processes
+#
+# Numpy's many short calls per stage hold the interpreter lock, so threads
+# mostly take turns; the extra chunks of a step run in forked processes.
+# A task carries everything it reads (the weights too) and a worker keeps
+# nothing between tasks, so a worker can never compute with stale weights.
+# Forked rather than spawned: a worker starts with the package imported and
+# the caller's sys.path, at no import cost.  fork copies only the calling
+# thread, so the pool assumes no other thread of the caller holds a lock
+# the worker will need.
+
+def _pool_size(tasks, threads, cpus):
+    """Workers beside the parent: as many tasks at once as threads allows,
+    never more processes than usable CPUs."""
+    return max(0, min(tasks, threads, cpus) - 1)
+
+
+def _usable_cpus():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _serve(tasks, results, inherited):
+    """Worker loop: run each ``(fn, args)`` from ``tasks``, reply in order.
+
+    The forked worker first closes the parent's pipe ends it inherited, its
+    own included: with no write end of its task pipe left open here, the
+    parent's exit or death reaches it as EOF.
+    """
+    for conn in inherited:
+        conn.close()
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the parent's to handle
+    while True:
+        try:
+            fn, args = tasks.recv()
+        except EOFError:
+            return
+        try:
+            reply = (True, fn(*args))
+        except Exception as e:  # re-raised in the parent
+            reply = (False, e, traceback.format_exc())
+        try:
+            results.send(reply)
+        except OSError:  # the parent is gone
+            return
+
+
+class _Worker:
+    """A forked process that runs the tasks sent to it one at a time."""
+
+    def __init__(self, others):
+        ctx = multiprocessing.get_context("fork")
+        task_r, self.tasks = ctx.Pipe(duplex=False)
+        self.results, result_w = ctx.Pipe(duplex=False)
+        inherited = [self.tasks, self.results]
+        for w in others:
+            inherited += [w.tasks, w.results]
+        self.process = ctx.Process(
+            target=_serve, args=(task_r, result_w, inherited), daemon=True
+        )
+        self.process.start()
+        task_r.close()
+        result_w.close()
+
+    def submit(self, fn, args):
+        try:
+            self.tasks.send((fn, args))
+        except OSError:
+            raise self._died() from None
+
+    def result(self):
+        try:
+            ok, *reply = self.results.recv()
+        except (EOFError, OSError):
+            raise self._died() from None
+        if ok:
+            return reply[0]
+        exc, tb = reply
+        raise exc from RuntimeError("in worker pid %d:\n%s" % (self.process.pid, tb))
+
+    def _died(self):
+        self.process.join(1.0)
+        return RuntimeError("worker process pid %d died (exit code %s)"
+                            % (self.process.pid, self.process.exitcode))
+
+    def close(self):
+        self.tasks.close()
+        self.results.close()
+        self.process.terminate()
+        self.process.join()
+
+
+# the process's workers: started on first need, kept until the process exits
+_WORKERS = []
+
+
+def _pool(n):
+    """``n`` live workers, started as needed; none where fork is missing."""
+    if n <= 0 or "fork" not in multiprocessing.get_all_start_methods():
+        return []
+    for w in [w for w in _WORKERS if not w.process.is_alive()]:
+        _WORKERS.remove(w)
+        w.close()
+    while len(_WORKERS) < n:
+        _WORKERS.append(_Worker(_WORKERS))
+    return _WORKERS[:n]
+
+
+def _close_pool():
+    while _WORKERS:
+        _WORKERS.pop().close()
+
+
+def _map(fn, arg_tuples, threads):
+    """``[fn(*args) for args in arg_tuples]``, up to ``threads`` at a time.
+
+    Tasks go out in groups of one per process: the parent computes the
+    first of each group itself while the workers compute the rest.  Results
+    come back in task order, so the outcome does not depend on which process
+    ran a task.  ``threads == 1`` runs everything here and pickles nothing.
+    """
+    workers = _pool(_pool_size(len(arg_tuples), threads, _usable_cpus()))
+    width = len(workers) + 1
+    out = []
+    try:
+        for i in range(0, len(arg_tuples), width):
+            group = arg_tuples[i:i + width]
+            for w, args in zip(workers, group[1:]):
+                w.submit(fn, args)
+            out.append(fn(*group[0]))
+            out += [w.result() for w in workers[:len(group) - 1]]
+    except BaseException:
+        _close_pool()  # no task may stay in flight into the next call
+        raise
+    return out
+
+
+def _grads(net, images, ys, masks, batch_scale):
+    """One chunk's summed squared error and its gradients."""
+    x, tape = network.net_forward(ys, masks, net)
+    sq = float(np.sum((x - images) ** 2))
+    return sq, backward(tape, images, batch_scale=batch_scale)
+
+
 def _chunk_grads(net, images, ys, masks, idx, batch_scale, threads):
     """Forward/backward over index chunks; index-ordered reduction."""
-    chunks = [idx] if threads <= 1 else [
-        idx[i::threads] for i in range(threads) if len(idx[i::threads])
-    ]
-
-    def one(chunk):
-        x, tape = network.net_forward(ys[chunk], masks[chunk], net)
-        sq = float(np.sum((x - images[chunk]) ** 2))
-        g = backward(tape, images[chunk], batch_scale=batch_scale)
-        return sq, g
-
-    if len(chunks) == 1:
-        results = [one(chunks[0])]
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            results = list(ex.map(one, chunks))
+    step = max(threads, 1)
+    chunks = [idx[i::step] for i in range(step) if len(idx[i::step])]
+    results = _map(_grads, [
+        (net, images[c], ys[c], masks[c], batch_scale) for c in chunks
+    ], threads)
     total_sq = 0.0
     grads = None
     for sq, g in results:  # fixed order: chunk 0, 1, ...
@@ -244,17 +382,22 @@ def _chunk_grads(net, images, ys, masks, idx, batch_scale, threads):
     return total_sq / (batch_scale * n), grads
 
 
-def forward_chunked(net, ys, masks):
-    """Reconstruct a stacked set, EVAL_CHUNK images per forward call."""
-    return np.concatenate([
-        network.net_forward(ys[i:i + EVAL_CHUNK], masks[i:i + EVAL_CHUNK], net)[0]
+def _reconstruct(net, ys, masks):
+    return network.net_forward(ys, masks, net)[0]
+
+
+def forward_chunked(net, ys, masks, threads=1):
+    """Reconstruct a stacked set, EVAL_CHUNK images per forward call,
+    ``threads`` calls at a time."""
+    return np.concatenate(_map(_reconstruct, [
+        (net, ys[i:i + EVAL_CHUNK], masks[i:i + EVAL_CHUNK])
         for i in range(0, len(ys), EVAL_CHUNK)
-    ])
+    ], threads))
 
 
-def _val_metrics(net, val_pack):
+def _val_metrics(net, val_pack, threads=1):
     images, ys, masks = val_pack
-    x = forward_chunked(net, ys, masks)
+    x = forward_chunked(net, ys, masks, threads)
     ps = [metrics.psnr(x[i], images[i]) for i in range(len(images))]
     ss = [metrics.ssim(x[i], images[i]) for i in range(len(images))]
     return float(np.mean(ps)), float(np.mean(ss))
@@ -269,7 +412,10 @@ def train(dataset, config, net=None, val_dataset=None, log_path=None):
 
     ``dataset`` is a list of (image, measurement) pairs whose measurements
     were generated by the fixed operator.  Bit-deterministic for a given
-    config and dataset when threads == 1.
+    config and dataset at each thread count.  ``config.threads`` sets how
+    many chunks each batch is split into (and how many run at once, the
+    extra ones in worker processes), so the gradient sum order, and with it
+    the result at rounding level, differs between thread counts.
     """
     net, history, _ = train_full(dataset, config, net, val_dataset, log_path)
     return net, history
@@ -312,7 +458,7 @@ def train_full(dataset, config, net=None, val_dataset=None, log_path=None):
             adam_update(net, grads, state, lr)
         epoch_loss = sq_sum / ns
         history.append(epoch_loss)
-        vp, vs = _val_metrics(net, val_pack) if val_pack else ("", "")
+        vp, vs = _val_metrics(net, val_pack, config.threads) if val_pack else ("", "")
         seconds = time.perf_counter() - t0
         rows.append((epoch + 1, lr, epoch_loss, vp, vs, seconds))
     if log_path is not None:

@@ -304,11 +304,14 @@ def test_train_loss_history_finite_and_decreasing_trend():
     assert history[-1] < history[0]
 
 
-def test_train_stops_at_the_first_nonfinite_step(monkeypatch):
+@pytest.mark.parametrize("threads", [1, 2])
+def test_train_stops_at_the_first_nonfinite_step(monkeypatch, worker_pool, threads):
     ds = _toy_dataset(8, 8, 8, seed=20)
-    cfg = TrainConfig(epochs=2, batch_size=2, seed=5, num_stages=2, channels=2)
+    cfg = TrainConfig(epochs=2, batch_size=2, seed=5, num_stages=2, channels=2,
+                      threads=threads)
     perm = derive_rng(cfg.seed, STREAM_SHUFFLE).permutation(len(ds))
-    ds[int(perm[5])][1].values[0, 0, 0] = np.nan  # third batch of epoch 1
+    # third batch of epoch 1; at two threads, the chunk a worker computes
+    ds[int(perm[5])][1].values[0, 0, 0] = np.nan
     net = init_net(8, 8, num_stages=2, channels=2, num_masks=4, rng=SeededRng(1))
     after = []
     real = training.adam_update
@@ -320,6 +323,7 @@ def test_train_stops_at_the_first_nonfinite_step(monkeypatch):
     monkeypatch.setattr(training, "adam_update", recording)
     with pytest.raises(FloatingPointError, match=r"epoch 1 step 3\b"):
         train_full(ds, cfg, net=net)
+    assert len(training._WORKERS) == threads - 1
     # the NaN batch made no update: the weights are those after step 2
     assert len(after) == 2
     for n, a in net.tensors():
