@@ -55,19 +55,27 @@ def _tape(batch, mode="structured", h=32):
     return network.net_forward(y, masks, net)[1]
 
 
-def test_stage_tape_bytes_per_image():
-    # one 32x32, c=8, J=4 structured stage; the difference of two batch sizes
-    # leaves the per-image bytes (parameters are shared and cancel)
+@pytest.mark.parametrize("mode,h,bound", [
+    ("fixed", 32, 525440),
+    ("structured", 32, 656512),
+    ("dense", 8, 46720),
+], ids=["fixed", "structured", "dense"])
+def test_stage_tape_bytes_per_image(mode, h, bound):
+    # one c=8, J=4 stage; the difference of two batch sizes leaves the
+    # per-image bytes (parameters are shared and cancel)
     def held(batch):
-        tape = _tape(batch)
+        tape = _tape(batch, mode, h)
         return _held_bytes([tape.stage_caches, tape.x0, tape.output])
 
     per_image = held(2) - held(1)
-    # measurements, masks and their conjugate, x0 and output (176 KiB) plus
-    # the stage caches (465 KiB): |z|, phase, W^H resid, FFT of the input,
-    # resid, the prox input, and three padded-row conv outputs (the two ReLU
-    # outputs and the codes, shrunk in place); the unshrunk codes are not kept
-    assert per_image <= 656512
+    # structured 32x32: measurements, masks and their conjugate, x0 and
+    # output (176 KiB) plus the stage caches (465 KiB): |z|, phase, W^H
+    # resid, FFT of the input, resid, the prox input, and three padded-row
+    # conv outputs (the two ReLU outputs and the codes, shrunk in place);
+    # the unshrunk codes are not kept.  Fixed mode keeps neither the FFT of
+    # the input nor resid; dense keeps the flattened modulated input and
+    # resid in their place.
+    assert per_image <= bound
 
 
 def test_operator_caches_keep_their_keys():

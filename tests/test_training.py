@@ -147,6 +147,49 @@ def test_backward_directional_derivative():
     assert abs(fd - analytic) <= 1e-5 * max(abs(analytic), 1e-8)
 
 
+LAYOUTS = [(mode, tie, share) for mode in ("fixed", "structured", "dense")
+           for tie in (False, True) for share in (False, True)]
+
+
+@pytest.mark.parametrize("mode,tie,share", LAYOUTS)
+def test_backward_directional_derivative_every_layout(mode, tie, share):
+    # every stored tensor off its init point, tied and shared operators too
+    seed = 42
+    truth = SeededRng(seed).uniform(64).reshape(8, 8)
+    masks = cdp.make_cdp_masks(SeededRng(seed + 1), 2, 8, 8)
+    y = cdp.measure(truth, masks, 27.0, SeededRng(seed + 2))
+    net = init_net(8, 8, num_stages=2, channels=2, num_masks=2, mode=mode,
+                   tie_adjoint=tie, share_operator=share, rng=SeededRng(seed + 3))
+    prng = SeededRng(seed + 4)
+    for st in net.stages:
+        st.thresh_raw[...] = np.log(np.expm1(0.08))
+        st.step_size[...] = 0.1
+        for blk in (st.ana, st.syn):
+            blk.b1 += 0.05 + 0.1 * prng.uniform(blk.b1.size)
+            blk.b2 += 0.05 + 0.1 * prng.uniform(blk.b2.size)
+    for name, arr in net.tensors():
+        if ".op." in name:
+            arr += (0.02 if mode == "dense" else 0.05) * _rand_complex(prng, arr.shape)
+
+    _, tape = net_forward(y, masks, net)
+    grads = backward(tape, truth)
+    drng = SeededRng(99)
+    direction = {name: drng.normal(arr.view(np.float64).size) for name, arr in net.tensors()}
+    analytic = sum(float(training._real_flat(grads[name]) @ d) for name, d in direction.items())
+
+    def loss_at(eps):
+        for name, arr in net.tensors():
+            arr.view(np.float64).reshape(-1)[...] += eps * direction[name]
+        x, _ = net_forward(y, masks, net)
+        for name, arr in net.tensors():
+            arr.view(np.float64).reshape(-1)[...] -= eps * direction[name]
+        return loss_mse(x, truth)
+
+    h = 1e-6
+    fd = (loss_at(h) - loss_at(-h)) / (2 * h)
+    assert abs(fd - analytic) <= 1e-5 * max(abs(analytic), 1e-8)
+
+
 def test_backward_truth_shape_mismatch_rejected():
     net, y, masks, truth = _generic_instance()
     _, tape = net_forward(y, masks, net)
