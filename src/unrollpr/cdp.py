@@ -7,7 +7,7 @@ unit-modulus mask d_j and pushes it through a spectral transform T:
 
 Three transform modes are supported:
 
-* ``fixed``       T is the unitary 2D DFT; no trainable part.
+* ``fixed``       T = F, the unitary 2D DFT: the structured path with no gain.
 * ``structured``  T = diag(g) F with a per-frequency complex gain g, so the
                   transform stays O(N log N) and holds 2N real parameters.
 * ``dense``       T is a full N x N complex matrix acting on the flattened
@@ -15,8 +15,9 @@ Three transform modes are supported:
                   guarded to N <= 4096.
 
 The adjoint map carries its own gain / matrix (initialized to the true
-adjoint) unless ``tie_adjoint`` is set, in which case it is recomputed from
-the forward parameters every call and the two stay exactly adjoint.
+adjoint) unless ``tie_adjoint`` is set.  Then the mode's tie map, g -> conj(g)
+or M -> M^H, derives it from the forward side on every call, so the two stay
+exactly adjoint, and carries its cotangent back onto the forward side.
 
 Gradients follow the convention  vbar = dL/dRe(v) + i dL/dIm(v)  for complex
 intermediates, which makes every complex-linear map M pull back as M^H.
@@ -103,13 +104,20 @@ def _dft_pair(h, w):
     return f2, f2.conj().T.copy()
 
 
-# mode -> (forward, adjoint) attribute names, their shape for an h x w field
-# and their initial values; ``fixed`` has no trainable part
+# mode -> (forward, adjoint) attribute names, their shape for an h x w field,
+# their initial values and the tie map; ``fixed`` has no trainable part
 _TRANSFORMS = {
-    "fixed": ((), None, None),
-    "structured": (("gain", "adj_gain"), lambda h, w: (h, w), _identity_gains),
-    "dense": (("mat", "adj_mat"), lambda h, w: (h * w, h * w), _dft_pair),
+    "fixed": ((), None, None, None),
+    "structured": (("gain", "adj_gain"), lambda h, w: (h, w), _identity_gains, np.conj),
+    "dense": (("mat", "adj_mat"), lambda h, w: (h * w, h * w), _dft_pair,
+              lambda m: m.conj().T),
 }
+
+
+def _transform(mode):
+    if mode not in _TRANSFORMS:
+        raise ValueError("unknown operator mode %r" % mode)
+    return _TRANSFORMS[mode]
 
 
 def operator_layout(mode, h, w, tie_adjoint=False):
@@ -117,9 +125,7 @@ def operator_layout(mode, h, w, tie_adjoint=False):
 
     A tied adjoint is derived from the forward side, so it is not stored.
     """
-    if mode not in _TRANSFORMS:
-        raise ValueError("unknown operator mode %r" % mode)
-    names, shape, _ = _TRANSFORMS[mode]
+    names, shape, _, _ = _transform(mode)
     if names:
         check_spatial_pow2((h, w))
     if mode == "dense" and h * w > DENSE_SIZE_LIMIT:
@@ -169,6 +175,15 @@ class OperatorParams:
         """Full-matrix transform seeded at the DFT matrix."""
         return OperatorParams.initial("dense", h, w, tie_adjoint)
 
+    def _tensor(self, adjoint):
+        """The forward or the effective adjoint gain / matrix; None in fixed mode."""
+        names, _, _, tie = _transform(self.mode)
+        if not names:
+            return None
+        if adjoint and self.tie_adjoint:
+            return tie(getattr(self, names[0]))
+        return getattr(self, names[1] if adjoint else names[0])
+
 
 def _modulate(x, masks):
     # (..., h, w) -> (..., J, h, w)
@@ -185,6 +200,25 @@ def _mask_set(mask_set):
     return MaskSet(np.asarray(mask_set))
 
 
+def _matmul(v, m):
+    """m applied to each flattened (h, w) field of v; returns (m v, flat v)."""
+    vf = v.reshape(v.shape[:-2] + m.shape[1:])
+    return (vf @ m.T).reshape(v.shape), vf
+
+
+def _matmul_vjp(dout, vf, m):
+    """Pull dout back through :func:`_matmul`: (dv, dm summed over leading axes)."""
+    n = vf.shape[-1]
+    df = dout.reshape(vf.shape)
+    dm = df.reshape(-1, n).T @ np.conj(vf.reshape(-1, n))
+    return (df @ np.conj(m)).reshape(dout.shape), dm
+
+
+def _gain_grad(v, dout):
+    """Cotangent of a per-frequency gain g in g * v, summed over the batch."""
+    return np.sum(np.conj(v) * dout, axis=tuple(range(dout.ndim - 2)))
+
+
 def operator_apply_fwd(x, mask_set, params):
     """W x for a real or complex field x of shape (..., h, w).
 
@@ -193,21 +227,15 @@ def operator_apply_fwd(x, mask_set, params):
     """
     ms = _mask_set(mask_set)
     u = _modulate(np.asarray(x), ms.masks)
-    if params.mode == "fixed":
+    g = params._tensor(adjoint=False)
+    cache = {"mode": params.mode, "conj_masks": ms.conj, "g": g}
+    if params.mode == "dense":
+        z, cache["uf"] = _matmul(u, g)
+    else:  # the FFT, then the gain if there is one
         z = fft2_unitary(u)
-        cache = {"mode": "fixed", "conj_masks": ms.conj}
-    elif params.mode == "structured":
-        f = fft2_unitary(u)
-        z = params.gain * f
-        cache = {"mode": "structured", "conj_masks": ms.conj, "gain": params.gain, "f": f}
-    elif params.mode == "dense":
-        lead = u.shape[:-2]
-        n = u.shape[-2] * u.shape[-1]
-        uf = u.reshape(lead + (n,))
-        z = (uf @ params.mat.T).reshape(u.shape)
-        cache = {"mode": "dense", "conj_masks": ms.conj, "mat": params.mat, "uf": uf}
-    else:
-        raise ValueError("unknown operator mode %r" % params.mode)
+        if g is not None:
+            cache["f"] = z
+            z = g * z
     return z, cache
 
 
@@ -222,34 +250,16 @@ def operator_apply_vjp(dz, cache):
     dx is the complex cotangent of x (take .real when x was real);
     grads maps parameter names ("gain" or "mat") to their cotangents.
     """
-    grads = {}
-    if cache["mode"] == "fixed":
+    g, grads = cache["g"], {}
+    if cache["mode"] == "dense":
+        du, grads["mat"] = _matmul_vjp(dz, cache["uf"], g)
+    else:
+        if g is not None:
+            grads["gain"] = _gain_grad(cache["f"], dz)
+            dz = np.conj(g) * dz
         du = ifft2_unitary(dz)
-    elif cache["mode"] == "structured":
-        df = np.conj(cache["gain"]) * dz
-        grads["gain"] = np.sum(
-            np.conj(cache["f"]) * dz, axis=tuple(range(dz.ndim - 2))
-        )
-        du = ifft2_unitary(df)
-    else:  # dense
-        lead = dz.shape[:-2]
-        n = dz.shape[-2] * dz.shape[-1]
-        dzf = dz.reshape(lead + (n,))
-        uf = cache["uf"]
-        # sum of outer products over all leading axes
-        grads["mat"] = dzf.reshape(-1, n).T @ np.conj(uf.reshape(-1, n))
-        du = (dzf @ np.conj(cache["mat"])).reshape(dz.shape)
     dx = np.sum(cache["conj_masks"] * du, axis=-3)
     return dx, grads
-
-
-def _adjoint_transform(params):
-    """Effective adjoint-side gain or matrix, honoring tie_adjoint."""
-    if params.mode == "structured":
-        return np.conj(params.gain) if params.tie_adjoint else params.adj_gain
-    if params.mode == "dense":
-        return params.mat.conj().T if params.tie_adjoint else params.adj_mat
-    return None
 
 
 def operator_adjoint_fwd(z, mask_set, params):
@@ -258,37 +268,16 @@ def operator_adjoint_fwd(z, mask_set, params):
     Returns (s, cache) with s of shape (..., h, w), complex.
     """
     ms = _mask_set(mask_set)
-    d = ms.masks
     z = np.asarray(z)
-    if params.mode == "fixed":
+    a = params._tensor(adjoint=True)
+    cache = {"mode": params.mode, "masks": ms.masks, "a": a, "tied": params.tie_adjoint}
+    if params.mode == "dense":
+        q, cache["zf"] = _matmul(z, a)
+    else:  # the gain if there is one, then the inverse FFT
+        if a is not None:
+            cache["z"] = z
+            z = a * z
         q = ifft2_unitary(z)
-        cache = {"mode": "fixed", "masks": d}
-    elif params.mode == "structured":
-        a = _adjoint_transform(params)
-        wv = a * z
-        q = ifft2_unitary(wv)
-        cache = {
-            "mode": "structured",
-            "masks": d,
-            "adj": a,
-            "z": z,
-            "tied": params.tie_adjoint,
-        }
-    elif params.mode == "dense":
-        a = _adjoint_transform(params)
-        lead = z.shape[:-2]
-        n = z.shape[-2] * z.shape[-1]
-        zf = z.reshape(lead + (n,))
-        q = (zf @ a.T).reshape(z.shape)
-        cache = {
-            "mode": "dense",
-            "masks": d,
-            "adj": a,
-            "zf": zf,
-            "tied": params.tie_adjoint,
-        }
-    else:
-        raise ValueError("unknown operator mode %r" % params.mode)
     s = np.sum(ms.conj * q, axis=-3)
     return s, cache
 
@@ -301,35 +290,21 @@ def operator_adjoint(z, mask_set, params):
 def operator_adjoint_vjp(ds, cache):
     """Pull ds back through W^H.  Returns (dz, grads).
 
-    ds may be real or complex.  With tie_adjoint the adjoint-side
-    cotangent is re-expressed on the forward parameters, so grads again
-    uses the "gain" / "mat" keys.
+    ds may be real or complex.  A tied adjoint's cotangent goes back through
+    the tie map onto the forward tensor, under its "gain" / "mat" key.
     """
-    d = cache["masks"]
-    dq = d * ds[..., None, :, :]
-    grads = {}
-    if cache["mode"] == "fixed":
+    a = cache["a"]
+    dq = cache["masks"] * ds[..., None, :, :]
+    if cache["mode"] == "dense":
+        dz, da = _matmul_vjp(dq, cache["zf"], a)
+    else:
         dz = fft2_unitary(dq)
-    elif cache["mode"] == "structured":
-        dw = fft2_unitary(dq)
-        dz = np.conj(cache["adj"]) * dw
-        ga = np.sum(np.conj(cache["z"]) * dw, axis=tuple(range(dw.ndim - 2)))
-        if cache["tied"]:
-            grads["gain"] = np.conj(ga)
-        else:
-            grads["adj_gain"] = ga
-    else:  # dense
-        lead = dq.shape[:-2]
-        n = dq.shape[-2] * dq.shape[-1]
-        dqf = dq.reshape(lead + (n,))
-        zf = cache["zf"]
-        ma = dqf.reshape(-1, n).T @ np.conj(zf.reshape(-1, n))
-        if cache["tied"]:
-            grads["mat"] = ma.conj().T
-        else:
-            grads["adj_mat"] = ma
-        dz = (dqf @ np.conj(cache["adj"])).reshape(dq.shape)
-    return dz, grads
+        if a is None:
+            return dz, {}
+        da = _gain_grad(cache["z"], dz)
+        dz = np.conj(a) * dz
+    names, _, _, tie = _TRANSFORMS[cache["mode"]]
+    return dz, {names[0]: tie(da)} if cache["tied"] else {names[1]: da}
 
 
 def measure(x, mask_set, alpha, rng):

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import cdp, datakit, metrics, network, selfcheck, training
 from .errors import FormatError
-from .field import STREAM_MASKS_TEST, STREAM_NOISE, derive_rng
+from .field import STREAM_MASKS_TEST, STREAM_NOISE, derive_rng, is_pow2
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -35,8 +35,6 @@ def _parse_size(text):
     if len(parts) != 2:
         raise ValueError("size must look like 32x32, got %r" % text)
     h, w = int(parts[0]), int(parts[1])
-    from .field import is_pow2
-
     if not (is_pow2(h) and is_pow2(w)):
         raise ValueError("size must be a power of two per side, got %dx%d" % (h, w))
     return h, w
@@ -59,10 +57,10 @@ def cmd_gen_data(args):
     return EXIT_OK
 
 
-def _load_dir(data_dir):
+def _read_dir(data_dir):
     if not os.path.isdir(data_dir):
         raise FileNotFoundError("no such data directory: %s" % data_dir)
-    return datakit.load_dataset(data_dir)
+    return datakit.read_manifest(os.path.join(data_dir, datakit.MANIFEST_NAME))
 
 
 def cmd_train(args):
@@ -70,10 +68,11 @@ def cmd_train(args):
             or args.channels < 1 or args.threads < 1:
         print("invalid training flags", file=sys.stderr)
         return EXIT_USAGE
-    manifest, dataset = _load_dir(args.data)
+    manifest = _read_dir(args.data)
+    dataset = datakit.build_dataset(manifest, base_dir=args.data)
     val = None
     if args.val_data:
-        _, val = _load_dir(args.val_data)
+        val = datakit.build_dataset(_read_dir(args.val_data), base_dir=args.val_data)
     config = training.TrainConfig(
         epochs=args.epochs, batch_size=args.batch, lr=args.lr, seed=args.seed,
         num_stages=args.K, channels=args.channels, num_masks=manifest.num_masks,
@@ -104,12 +103,13 @@ def _check_compat(net, manifest):
 
 def cmd_eval(args):
     net, _ = training.checkpoint_load(args.ckpt)
-    manifest, dataset = _load_dir(args.data)
-    if len(dataset) == 0:
+    manifest = _read_dir(args.data)
+    if manifest.count == 0:
         print("data directory is empty", file=sys.stderr)
         return EXIT_IO
     if not _check_compat(net, manifest):
         return EXIT_SHAPE
+    dataset = datakit.build_dataset(manifest, base_dir=args.data)
     rows = []
     if args.bypass:
         for i, (img, mv) in enumerate(dataset):

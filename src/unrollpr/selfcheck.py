@@ -119,7 +119,7 @@ def grad_error_by_tensor(net, y, masks, truth):
     return errs
 
 
-def _small_instance(mode="structured", seed=42):
+def _small_instance(seed=42):
     """Tiny net at a generic parameter point for derivative checks.
 
     The init point itself is nondifferentiable (zero biases put ReLU
@@ -132,7 +132,7 @@ def _small_instance(mode="structured", seed=42):
     masks = cdp.make_cdp_masks(SeededRng(seed + 1), 2, 8, 8)
     y = cdp.measure(truth, masks, 27.0, SeededRng(seed + 2))
     net = network.init_net(8, 8, num_stages=2, channels=2, num_masks=2,
-                           mode=mode, rng=SeededRng(seed + 3))
+                           mode="structured", rng=SeededRng(seed + 3))
     prng = SeededRng(seed + 4)
     for st in net.stages:
         st.thresh_raw[...] = np.log(np.expm1(0.05 + 0.05 * prng.uniform(1)[0]))
@@ -140,12 +140,8 @@ def _small_instance(mode="structured", seed=42):
         for blk in (st.ana, st.syn):
             for b in (blk.b1, blk.b2):
                 b += 0.05 + 0.1 * prng.uniform(b.size).reshape(b.shape)
-        if mode == "structured":
-            st.op.gain += 0.05 * _rand_complex(prng, (8, 8))
-            st.op.adj_gain += 0.05 * _rand_complex(prng, (8, 8))
-        elif mode == "dense":
-            st.op.mat += 0.02 * _rand_complex(prng, st.op.mat.shape)
-            st.op.adj_mat += 0.02 * _rand_complex(prng, st.op.adj_mat.shape)
+        st.op.gain += 0.05 * _rand_complex(prng, (8, 8))
+        st.op.adj_gain += 0.05 * _rand_complex(prng, (8, 8))
     return net, y, masks, truth
 
 

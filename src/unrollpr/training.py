@@ -202,6 +202,9 @@ def lr_schedule(epoch, config):
 
 def _stack_samples(dataset):
     """Manifest-ordered dataset -> stacked images, measurements, masks."""
+    for i, (_, mv) in enumerate(dataset):
+        if mv.mask_seed is None:
+            raise ValueError("sample %d has no mask seed to rebuild its masks from" % i)
     images = np.stack([np.asarray(img, dtype=np.float64) for img, _ in dataset])
     ys = np.stack([np.asarray(mv.values, dtype=np.float64) for _, mv in dataset])
     cache = {}
@@ -426,6 +429,7 @@ def train_full(dataset, config, net=None, val_dataset=None, log_path=None):
     if len(dataset) == 0:
         raise ValueError("empty dataset")
     images, ys, masks = _stack_samples(dataset)
+    val_pack = _stack_samples(val_dataset) if val_dataset else None
     h, w = images.shape[1:]
     j = ys.shape[1]
     if net is None:
@@ -437,7 +441,6 @@ def train_full(dataset, config, net=None, val_dataset=None, log_path=None):
         )
     state = init_adam(net)
     shuffle_rng = derive_rng(config.seed, STREAM_SHUFFLE)
-    val_pack = _stack_samples(val_dataset) if val_dataset else None
     history = []
     rows = []
     ns = len(dataset)

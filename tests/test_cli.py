@@ -5,7 +5,7 @@ import sys
 
 import numpy as np
 
-from unrollpr import network, training
+from unrollpr import datakit, network, training
 from unrollpr.cli import main
 from unrollpr.field import STREAM_INIT, derive_rng
 from unrollpr.network import init_net
@@ -203,6 +203,20 @@ def test_eval_shape_mismatch_names_both_shapes(tmp_path, capsys):
     assert rc == 4
     err = capsys.readouterr().err
     assert "8x8" in err and "16x16" in err
+
+
+def test_eval_checks_shapes_before_building_the_dataset(tmp_path, capsys, monkeypatch):
+    small = _gen(tmp_path, "small", size="8x8", seed=16)
+    big = _gen(tmp_path, "big", size="16x16", seed=16)
+    ckpt = _train(tmp_path, small, epochs=0)
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("dataset built before the shape check")
+
+    monkeypatch.setattr(datakit, "build_dataset", no_build)
+    rc = main(["eval", "--ckpt", str(ckpt), "--data", str(big)])
+    assert rc == 4
+    assert "16x16" in capsys.readouterr().err
 
 
 def test_eval_missing_checkpoint(tmp_path):

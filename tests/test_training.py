@@ -325,6 +325,16 @@ def test_train_empty_dataset_rejected():
         train([], TrainConfig(epochs=1))
 
 
+def test_train_rejects_measurements_without_a_mask_seed():
+    dataset = _toy_dataset(3, 8, 8, 40)
+    masks = cdp.make_cdp_masks(SeededRng(41, 1), 4, 8, 8)  # off stream 0: no seed
+    assert masks.seed is None
+    img = dataset[1][0]
+    dataset[1] = (img, cdp.measure(img, masks, 27.0, SeededRng(42)))
+    with pytest.raises(ValueError, match="sample 1 "):
+        train(dataset, TrainConfig(epochs=1, batch_size=2, num_stages=1, channels=1))
+
+
 def test_train_deterministic_checkpoints(tmp_path):
     ds = _toy_dataset(8, 8, 8, seed=20)
     paths = []
