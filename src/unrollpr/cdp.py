@@ -59,11 +59,13 @@ class MaskSet:
 
 @dataclass
 class MeasurementVector:
-    """Magnitude measurements (J, h, w) with their noise level and mask key."""
+    """Magnitude measurements (J, h, w), their noise level, the (J, h, w)
+    masks they were taken through and those masks' seed (None if unseeded)."""
 
     values: np.ndarray
     alpha: float
     mask_seed: int = None
+    masks: np.ndarray = None
 
 
 def make_cdp_masks(rng, num_masks, h, w):
@@ -314,11 +316,12 @@ def measure(x, mask_set, alpha, rng):
     per entry, so noise power scales with the local signal magnitude and
     alpha = 0 gives exact magnitudes.
     """
-    if alpha < 0:
-        raise ValueError("noise level must be nonnegative, got %r" % (alpha,))
+    if not 0 <= alpha < np.inf:
+        raise ValueError("noise level must be finite and nonnegative, got %r" % (alpha,))
     z = fft2_unitary(_modulate(np.asarray(x, dtype=np.float64), mask_set.masks))
     mag = np.abs(z)
     sigma = np.sqrt((alpha / 255.0) * mag)
     noise = rng.normal(mag.size).reshape(mag.shape)
     values = np.maximum(mag + sigma * noise, 0.0)
-    return MeasurementVector(values=values, alpha=float(alpha), mask_seed=mask_set.seed)
+    return MeasurementVector(values=values, alpha=float(alpha), mask_seed=mask_set.seed,
+                             masks=mask_set.masks)

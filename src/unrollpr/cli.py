@@ -15,7 +15,7 @@ import numpy as np
 
 from . import cdp, datakit, metrics, network, selfcheck, training
 from .errors import FormatError
-from .field import STREAM_MASKS_TEST, STREAM_NOISE, derive_rng, is_pow2
+from .field import STREAM_MASKS_TEST, STREAM_NOISE, cap_error, derive_rng
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -35,8 +35,9 @@ def _parse_size(text):
     if len(parts) != 2:
         raise ValueError("size must look like 32x32, got %r" % text)
     h, w = int(parts[0]), int(parts[1])
-    if not (is_pow2(h) and is_pow2(w)):
-        raise ValueError("size must be a power of two per side, got %dx%d" % (h, w))
+    err = cap_error("h", h) or cap_error("w", w)
+    if err:
+        raise ValueError("bad size %r: %s" % (text, err))
     return h, w
 
 
@@ -110,20 +111,14 @@ def cmd_eval(args):
     if not _check_compat(net, manifest):
         return EXIT_SHAPE
     dataset = datakit.build_dataset(manifest, base_dir=args.data)
+    images, ys, masks = datakit.stack_dataset(dataset)
+    x = images if args.bypass else training.forward_chunked(net, ys, masks)
     rows = []
-    if args.bypass:
-        for i, (img, mv) in enumerate(dataset):
-            name = manifest.records[i].image or ("synth-%d" % i)
-            rows.append((name, mv.alpha, metrics.psnr(img, img), metrics.ssim(img, img)))
-    else:
-        images, ys, masks = training._stack_samples(dataset)
-        x = training.forward_chunked(net, ys, masks)
-        for i in range(len(dataset)):
-            name = manifest.records[i].image or ("synth-%d" % i)
-            rows.append((
-                name, dataset[i][1].alpha,
-                metrics.psnr(x[i], images[i]), metrics.ssim(x[i], images[i]),
-            ))
+    for i, rec in enumerate(manifest.records):
+        rows.append((
+            rec.image or ("synth-%d" % i), rec.alpha,
+            metrics.psnr(x[i], images[i]), metrics.ssim(x[i], images[i]),
+        ))
     for name, alpha, p, s in rows:
         print("%s alpha=%g psnr=%s ssim=%s" % (name, alpha, _fmt(p), _fmt(s)))
     mean_p = float(np.mean([r[2] for r in rows]))
@@ -138,8 +133,8 @@ def cmd_eval(args):
 
 
 def cmd_reconstruct(args):
-    if args.alpha < 0:
-        print("alpha must be nonnegative", file=sys.stderr)
+    if not 0 <= args.alpha < math.inf:
+        print("alpha must be finite and nonnegative", file=sys.stderr)
         return EXIT_USAGE
     net, _ = training.checkpoint_load(args.ckpt)
     img = datakit.load_pgm(args.input)

@@ -33,6 +33,7 @@ from .field import (
     STREAM_NOISE,
     STREAM_SYNTH,
     SeededRng,
+    cap_error,
     check_spatial_pow2,
     derive_rng,
 )
@@ -271,11 +272,20 @@ def read_manifest(path):
     if version != MANIFEST_VERSION:
         raise UnsupportedVersionError("manifest version %d unsupported" % version)
     count = _parse_int(head["count"][0], "count", head["count"][1])
+
+    def capped(key, name):
+        value, line_no = head[key]
+        n = _parse_int(value, key, line_no)
+        err = cap_error(name, n)
+        if err:
+            raise FormatError("%s %s (line %d)" % (key, err, line_no))
+        return n
+
     manifest = DatasetManifest(
-        height=_parse_int(head["height"][0], "height", head["height"][1]),
-        width=_parse_int(head["width"][0], "width", head["width"][1]),
+        height=capped("height", "h"),
+        width=capped("width", "w"),
         seed=_parse_int(head["seed"][0], "seed", head["seed"][1]),
-        num_masks=_parse_int(head["masks"][0], "masks", head["masks"][1]),
+        num_masks=capped("masks", "J"),
         records=[],
     )
     for i in range(count):
@@ -287,9 +297,11 @@ def read_manifest(path):
         try:
             alpha = float(rec["alpha"][0])
         except ValueError:
+            alpha = np.nan
+        if not 0 <= alpha < np.inf:
             raise FormatError(
-                "bad alpha (line %d)" % rec["alpha"][1]
-            ) from None
+                "bad alpha %r, need a finite nonnegative number (line %d)" % rec["alpha"]
+            )
         image = rec["image"][0] if "image" in rec else None
         synth_seed = (
             _parse_int(rec["synth_seed"][0], "synth_seed", rec["synth_seed"][1])
@@ -318,7 +330,8 @@ def build_dataset(manifest, base_dir="."):
     """Materialize (image, measurement) pairs, deterministically.
 
     Measurements come from the fixed physical operator with the recorded
-    per-sample masks and noise levels.
+    per-sample masks and noise levels, and carry those masks; samples that
+    share a mask seed share one mask array.
     """
     h, w = manifest.height, manifest.width
     out = []
@@ -345,6 +358,17 @@ def build_dataset(manifest, base_dir="."):
     return out
 
 
+def stack_dataset(dataset):
+    """(image, measurement) pairs -> stacked images (n, h, w), measurement
+    values (n, J, h, w) and the masks they were taken through (n, J, h, w)."""
+    for i, (_, mv) in enumerate(dataset):
+        if mv.masks is None:
+            raise ValueError("sample %d has no masks; measure it with cdp.measure" % i)
+    images = np.stack([np.asarray(img, dtype=np.float64) for img, _ in dataset])
+    ys = np.stack([np.asarray(mv.values, dtype=np.float64) for _, mv in dataset])
+    return images, ys, np.stack([mv.masks for _, mv in dataset])
+
+
 def generate_dataset(out_dir, count, h, w, seed, alphas=DEFAULT_ALPHAS,
                      test_masks=False):
     """Write ``count`` synthetic PGMs plus a manifest; returns manifest path.
@@ -357,8 +381,8 @@ def generate_dataset(out_dir, count, h, w, seed, alphas=DEFAULT_ALPHAS,
     if count < 0:
         raise ValueError("count must be nonnegative")
     for a in alphas:
-        if a < 0:
-            raise ValueError("noise level must be nonnegative, got %r" % (a,))
+        if not 0 <= a < np.inf:
+            raise ValueError("noise level must be finite and nonnegative, got %r" % (a,))
     os.makedirs(out_dir, exist_ok=True)
     domain = STREAM_MASKS_TEST if test_masks else STREAM_MASKS_TRAIN
     records = []

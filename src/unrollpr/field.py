@@ -20,11 +20,29 @@ STREAM_SYNTH = 6
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
+# caps on stages K, channels c, masks J, height h and width w, for every
+# size read from outside (checkpoint headers, manifests, the command line):
+# a size beyond them is rejected before anything is allocated for it
+FIELD_CAPS = {"K": 64, "c": 1024, "J": 64, "h": 4096, "w": 4096}
+
 
 def is_pow2(n):
     """True for 1, 2, 4, 8, ..."""
     n = int(n)
     return n >= 1 and (n & (n - 1)) == 0
+
+
+def cap_error(name, value):
+    """Why ``value`` is not a valid ``FIELD_CAPS`` field ``name``, or None.
+
+    Every field lies in [1, cap]; h and w are also powers of two.
+    """
+    cap = FIELD_CAPS[name]
+    if not 1 <= value <= cap:
+        return "%s=%d outside [1, %d]" % (name, value, cap)
+    if name in ("h", "w") and not is_pow2(value):
+        return "%s=%d is not a power of two" % (name, value)
+    return None
 
 
 def check_spatial_pow2(shape):

@@ -386,7 +386,7 @@ def net_forward(y, masks, params, x0=None):
             "measurements %r do not match network (J=%d, %dx%d)"
             % (yb.shape, params.num_masks, h, w)
         )
-    ms = cdp.MaskSet(np.asarray(getattr(masks, "masks", masks)))  # conjugated once
+    ms = cdp._mask_set(masks)
     if ms.masks.shape[-3:] != (params.num_masks, h, w):
         raise ValueError("mask shape %r does not match network" % (ms.masks.shape,))
     if x0 is None:

@@ -34,9 +34,9 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import cdp, metrics, network
-from .datakit import atomic_write
+from .datakit import atomic_write, stack_dataset
 from .errors import FormatError, UnsupportedVersionError
-from .field import STREAM_INIT, STREAM_SHUFFLE, derive_rng, is_pow2
+from .field import FIELD_CAPS, STREAM_INIT, STREAM_SHUFFLE, cap_error, derive_rng
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -53,9 +53,6 @@ _MODE_CODES = {"fixed": 0, "dense": 1, "structured": 2}
 _MODE_NAMES = {v: k for k, v in _MODE_CODES.items()}
 # magic, version, then K, c, J, h, w, mode code, flags
 _HEADER = struct.Struct("<4s8I")
-# caps on K, c, J, h, w; a header beyond them is rejected before any
-# size arithmetic or allocation
-_FIELD_CAPS = (("K", 64), ("c", 1024), ("J", 64), ("h", 4096), ("w", 4096))
 _KNOWN_FLAGS = 3
 # a save hashes and writes records in buffers of up to this many bytes
 _GATHER_BYTES = 1 << 16
@@ -195,27 +192,6 @@ def lr_schedule(epoch, config):
     if epoch < 0:
         raise ValueError("epoch must be nonnegative")
     return config.lr * config.decay ** (epoch // config.decay_every)
-
-
-# ---------------------------------------------------------------------------
-# training loop
-
-def _stack_samples(dataset):
-    """Manifest-ordered dataset -> stacked images, measurements, masks."""
-    for i, (_, mv) in enumerate(dataset):
-        if mv.mask_seed is None:
-            raise ValueError("sample %d has no mask seed to rebuild its masks from" % i)
-    images = np.stack([np.asarray(img, dtype=np.float64) for img, _ in dataset])
-    ys = np.stack([np.asarray(mv.values, dtype=np.float64) for _, mv in dataset])
-    cache = {}
-    masks = []
-    for _, mv in dataset:
-        key = mv.mask_seed
-        if key not in cache:
-            j, h, w = mv.values.shape
-            cache[key] = cdp.masks_from_seed(key, j, h, w).masks
-        masks.append(cache[key])
-    return images, ys, np.stack(masks)
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +390,9 @@ def train(dataset, config, net=None, val_dataset=None, log_path=None):
     """Seeded mini-batch training; returns (params, per-epoch loss history).
 
     ``dataset`` is a list of (image, measurement) pairs whose measurements
-    were generated by the fixed operator.  Bit-deterministic for a given
+    were generated by the fixed operator (:func:`cdp.measure`); each
+    measurement's own masks are the ones the network reconstructs through,
+    and ``val_dataset`` likewise.  Bit-deterministic for a given
     config and dataset at each thread count.  ``config.threads`` sets how
     many chunks each batch is split into (and how many run at once, the
     extra ones in worker processes), so the gradient sum order, and with it
@@ -428,8 +406,8 @@ def train_full(dataset, config, net=None, val_dataset=None, log_path=None):
     """Like :func:`train` but also returns the final optimizer state."""
     if len(dataset) == 0:
         raise ValueError("empty dataset")
-    images, ys, masks = _stack_samples(dataset)
-    val_pack = _stack_samples(val_dataset) if val_dataset else None
+    images, ys, masks = stack_dataset(dataset)
+    val_pack = stack_dataset(val_dataset) if val_dataset else None
     h, w = images.shape[1:]
     j = ys.shape[1]
     if net is None:
@@ -499,17 +477,10 @@ def _check_header(head):
         raise FormatError("truncated header", offset=len(head))
     _, _, *fields = _HEADER.unpack_from(head)
     k, c, j, h, w, mode_code, flags = fields
-    for i, (name, cap) in enumerate(_FIELD_CAPS):
-        if not 1 <= fields[i] <= cap:
-            raise FormatError(
-                "header field %s=%d outside [1, %d]" % (name, fields[i], cap),
-                offset=8 + 4 * i,
-            )
-    for name, value, offset in (("h", h, 20), ("w", w, 24)):
-        if not is_pow2(value):
-            raise FormatError(
-                "header field %s=%d is not a power of two" % (name, value), offset=offset
-            )
+    for i, name in enumerate(FIELD_CAPS):  # K, c, J, h, w: the header's order
+        err = cap_error(name, fields[i])
+        if err:
+            raise FormatError("header field " + err, offset=8 + 4 * i)
     if mode_code not in _MODE_NAMES:
         raise FormatError("unknown operator mode code %d" % mode_code, offset=28)
     if flags & ~_KNOWN_FLAGS:

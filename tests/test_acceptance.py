@@ -9,13 +9,17 @@ conftest.py) and printed inside each test for captured output.
 
 Criteria 6-8 share four 30-epoch desk-scale training runs through a
 module-scoped fixture; everything is seeded, so the numbers reproduce
-run to run.
+run to run.  The four runs are independent and single-threaded, so the
+fixture runs them two at a time in spawned processes.
 """
 
 import math
+import multiprocessing
+import os
 import subprocess
 import sys
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -250,7 +254,7 @@ def _desk_run(alpha, mode, tmp):
     wall = time.perf_counter() - t0
     ckpt = tmp / ("model_" + tag + ".ckpt")
     training.checkpoint_save(net, state, str(ckpt))
-    images, ys, masks = training._stack_samples(held)
+    images, ys, masks = datakit.stack_dataset(held)
     x, _ = net_forward(ys, masks, net)
     p = float(np.mean([metrics.psnr(x[i], images[i])
                        for i in range(len(images))]))
@@ -262,6 +266,12 @@ def _desk_run(alpha, mode, tmp):
                         for i in range(len(images))]))
     return {"hist": hist, "psnr": p, "psnr0": p0, "wall": wall,
             "ckpt": ckpt, "testdir": dte}
+
+
+# thread-count variables of the BLAS and OpenMP pools a process starts with
+# when it loads numpy; set to 1 for the spawned desk runs, since two runs
+# whose BLAS pools each span every CPU are slower than the same two in series
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 @pytest.fixture(scope="module")
@@ -276,16 +286,28 @@ def desk(tmp_path_factory, request):
             sys.stdout.flush()
 
     tmp = tmp_path_factory.mktemp("desk")
-    runs = {}
-    for key, alpha, mode in (("learned", 27.0, "structured"),
-                             ("frozen", 27.0, "fixed"),
-                             ("low", 9.0, "structured"),
-                             ("high", 81.0, "structured")):
-        note("training alpha=%g mode=%s (30 epochs)..." % (alpha, mode))
-        runs[key] = _desk_run(alpha, mode, tmp)
-        note("alpha=%g mode=%s done: loss=%.5f psnr=%.2f (%.0fs)"
-             % (alpha, mode, runs[key]["hist"][-1], runs[key]["psnr"],
-                runs[key]["wall"]))
+    jobs = {"learned": (27.0, "structured"), "frozen": (27.0, "fixed"),
+            "low": (9.0, "structured"), "high": (81.0, "structured")}
+    procs = min(2, training._usable_cpus())
+    saved = {k: os.environ.get(k) for k in BLAS_THREAD_VARS}
+    os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
+    try:
+        with ProcessPoolExecutor(procs, mp_context=multiprocessing.get_context("spawn")) as pool:
+            note("training %d models (30 epochs) in %d processes..." % (len(jobs), procs))
+            futures = {key: pool.submit(_desk_run, alpha, mode, tmp)
+                       for key, (alpha, mode) in jobs.items()}
+            runs = {}
+            for key, fut in futures.items():
+                runs[key] = fut.result()
+                note("alpha=%g mode=%s done: loss=%.5f psnr=%.2f (%.0fs)"
+                     % (*jobs[key], runs[key]["hist"][-1], runs[key]["psnr"],
+                        runs[key]["wall"]))
+    finally:
+        for k, v in saved.items():
+            if v is None:
+                os.environ.pop(k, None)
+            else:
+                os.environ[k] = v
     return runs
 
 

@@ -179,6 +179,19 @@ def test_measure_rejects_negative_alpha():
         measure(np.ones((8, 8)), ms, -1.0, SeededRng(42))
 
 
+@pytest.mark.parametrize("alpha", [np.nan, np.inf])
+def test_measure_rejects_non_finite_alpha(alpha):
+    ms = make_cdp_masks(SeededRng(41), 4, 8, 8)
+    with pytest.raises(ValueError, match="finite"):
+        measure(np.ones((8, 8)), ms, alpha, SeededRng(42))
+
+
+def test_measure_keeps_its_masks():
+    ms = make_cdp_masks(SeededRng(43, 1), 4, 8, 8)
+    mv = measure(np.ones((8, 8)), ms, 9.0, SeededRng(44))
+    assert mv.masks is ms.masks and mv.mask_seed is None
+
+
 def test_measure_nonnegative_and_finite():
     ms = make_cdp_masks(SeededRng(51), 4, 8, 8)
     x = SeededRng(52).uniform(64).reshape(8, 8)

@@ -4,6 +4,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from unrollpr import datakit, network, training
 from unrollpr.cli import main
@@ -17,6 +18,23 @@ def _gen(tmp_path, name="data", count=4, size="8x8", seed=3, extra=()):
                "--size", size, "--seed", str(seed), *extra])
     assert rc == 0
     return out
+
+
+def _set_manifest(data, key, value):
+    """Rewrite ``key=value`` in a dataset's manifest; returns its line number."""
+    path = data / datakit.MANIFEST_NAME
+    lines = path.read_text().splitlines()
+    at = next(i for i, ln in enumerate(lines) if ln.startswith(key + "="))
+    lines[at] = "%s=%s" % (key, value)
+    path.write_text("\n".join(lines) + "\n")
+    return at + 1
+
+
+def _forbid(monkeypatch, module, name):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("%s called before the input was checked" % name)
+
+    monkeypatch.setattr(module, name, forbidden)
 
 
 def _train(tmp_path, data, name="model.ckpt", epochs=1, extra=()):
@@ -65,8 +83,55 @@ def test_gen_data_rejects_malformed_size(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("size", ["65536x65536", "8x8192", "0x8"])
+def test_gen_data_rejects_sizes_beyond_the_cap(tmp_path, capsys, monkeypatch, size):
+    _forbid(monkeypatch, datakit, "synth_image")
+    out = tmp_path / "x"
+    rc = main(["gen-data", "--out", str(out), "--count", "1",
+               "--size", size, "--seed", "1"])
+    assert rc == 2
+    assert "outside [1, 4096]" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("alphas", ["nan", "inf", "9,nan"])
+def test_gen_data_rejects_non_finite_noise_levels(tmp_path, capsys, alphas):
+    out = tmp_path / "x"
+    rc = main(["gen-data", "--out", str(out), "--count", "2", "--size", "8x8",
+               "--seed", "1", "--alphas", alphas])
+    assert rc == 2
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # train
+
+@pytest.mark.parametrize("key,value", [
+    ("height", "65536"), ("width", "8192"), ("height", "12"), ("masks", "65"), ("masks", "0"),
+])
+def test_train_rejects_manifest_sizes_beyond_the_cap(tmp_path, capsys, monkeypatch,
+                                                     key, value):
+    data = _gen(tmp_path, seed=8)
+    line = _set_manifest(data, key, value)
+    _forbid(monkeypatch, datakit, "build_dataset")
+    rc = main(["train", "--data", str(data), "--out", str(tmp_path / "m"),
+               "--epochs", "1"])
+    assert rc == 3
+    assert "(line %d)" % line in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("alpha", ["nan", "inf", "-inf", "-1"])
+def test_train_rejects_manifest_noise_level(tmp_path, capsys, monkeypatch, alpha):
+    data = _gen(tmp_path, seed=8)
+    line = _set_manifest(data, "sample.1.alpha", alpha)
+    _forbid(monkeypatch, datakit, "build_dataset")
+    rc = main(["train", "--data", str(data), "--out", str(tmp_path / "m"),
+               "--epochs", "1"])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "bad alpha %r" % alpha in err and "(line %d)" % line in err
+
 
 def test_train_zero_epochs_saves_initialization(tmp_path):
     data = _gen(tmp_path, seed=4)
@@ -260,6 +325,20 @@ def test_reconstruct_negative_alpha(tmp_path, capsys):
                "--out", str(tmp_path / "r.pgm")])
     assert rc == 2
     assert "nonnegative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("alpha", ["nan", "inf"])
+def test_reconstruct_non_finite_alpha(tmp_path, capsys, monkeypatch, alpha):
+    data = _gen(tmp_path, size="16x16", seed=20)
+    ckpt = _train(tmp_path, data, epochs=0)
+    _forbid(monkeypatch, training, "checkpoint_load")
+    rc = main(["reconstruct", "--ckpt", str(ckpt),
+               "--input", str(data / "img_0000.pgm"),
+               "--alpha", alpha, "--seed", "1",
+               "--out", str(tmp_path / "r.pgm")])
+    assert rc == 2
+    assert "finite" in capsys.readouterr().err
+    assert not (tmp_path / "r.pgm").exists()
 
 
 def test_reconstruct_missing_checkpoint(tmp_path):

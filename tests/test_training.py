@@ -325,14 +325,49 @@ def test_train_empty_dataset_rejected():
         train([], TrainConfig(epochs=1))
 
 
-def test_train_rejects_measurements_without_a_mask_seed():
+def test_train_accepts_masks_without_a_seed():
     dataset = _toy_dataset(3, 8, 8, 40)
     masks = cdp.make_cdp_masks(SeededRng(41, 1), 4, 8, 8)  # off stream 0: no seed
     assert masks.seed is None
     img = dataset[1][0]
     dataset[1] = (img, cdp.measure(img, masks, 27.0, SeededRng(42)))
+    assert np.array_equal(datakit.stack_dataset(dataset)[2][1], masks.masks)
+    _, history = train(dataset, TrainConfig(epochs=1, batch_size=2, num_stages=1, channels=1))
+    assert np.isfinite(history[0])
+
+
+def test_train_rejects_measurements_without_masks():
+    dataset = _toy_dataset(3, 8, 8, 40)
+    img, mv = dataset[1]
+    dataset[1] = (img, cdp.MeasurementVector(mv.values, mv.alpha, mv.mask_seed))
     with pytest.raises(ValueError, match="sample 1 "):
         train(dataset, TrainConfig(epochs=1, batch_size=2, num_stages=1, channels=1))
+
+
+def test_training_and_eval_build_no_masks_after_the_dataset(tmp_path, monkeypatch, capsys):
+    ds = _toy_dataset(4, 16, 16, 43)
+    val = _toy_dataset(2, 16, 16, 44)
+
+    def forbidden(*args):
+        raise AssertionError("masks rebuilt after the dataset was built")
+
+    monkeypatch.setattr(cdp, "masks_from_seed", forbidden)
+    cfg = TrainConfig(epochs=1, batch_size=2, num_stages=1, channels=1)
+    net, _, state = train_full(ds, cfg, val_dataset=val)
+    ckpt = tmp_path / "m.ckpt"
+    checkpoint_save(net, state, str(ckpt))
+    data = tmp_path / "data"
+    datakit.generate_dataset(str(data), 3, 16, 16, seed=45)
+    real_build = datakit.build_dataset
+
+    def build_then_forbid(*args, **kwargs):
+        out = real_build(*args, **kwargs)
+        monkeypatch.setattr(datakit, "masks_from_seed", forbidden)
+        return out
+
+    monkeypatch.setattr(datakit, "build_dataset", build_then_forbid)
+    assert main(["eval", "--ckpt", str(ckpt), "--data", str(data)]) == 0
+    assert "mean psnr=" in capsys.readouterr().out
 
 
 def test_train_deterministic_checkpoints(tmp_path):
@@ -430,7 +465,7 @@ def test_train_with_validation_writes_metrics(tmp_path):
 
 def test_validation_scores_in_bounded_chunks(monkeypatch):
     n = training.EVAL_CHUNK + 5
-    pack = training._stack_samples(_toy_dataset(n, 16, 16, seed=62))
+    pack = datakit.stack_dataset(_toy_dataset(n, 16, 16, seed=62))
     net = init_net(16, 16, num_stages=2, channels=2, num_masks=pack[1].shape[1],
                    rng=SeededRng(63))
     sizes = []

@@ -11,7 +11,7 @@ import time
 import pytest
 
 import unrollpr
-from unrollpr import training
+from unrollpr import datakit, training
 from unrollpr.field import SeededRng
 from unrollpr.network import init_net
 from unrollpr.training import TrainConfig, train_full
@@ -78,7 +78,7 @@ def test_one_thread_starts_no_worker(monkeypatch, worker_pool):
 
 def test_parallel_validation_matches_serial_chunks(worker_pool):
     n = 2 * training.EVAL_CHUNK + 5  # chunks: parent, worker, parent
-    pack = training._stack_samples(_toy_dataset(n, 16, 16, 84))
+    pack = datakit.stack_dataset(_toy_dataset(n, 16, 16, 84))
     net = init_net(16, 16, num_stages=2, channels=2, num_masks=pack[1].shape[1],
                    rng=SeededRng(85))
     serial = training.forward_chunked(net, pack[1], pack[2])
