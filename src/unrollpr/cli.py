@@ -65,9 +65,12 @@ def _read_dir(data_dir):
 
 
 def cmd_train(args):
-    if args.epochs < 0 or args.batch < 1 or args.lr <= 0 or args.K < 1 \
-            or args.channels < 1 or args.threads < 1:
+    if args.epochs < 0 or args.batch < 1 or not 0 < args.lr < math.inf or args.threads < 1:
         print("invalid training flags", file=sys.stderr)
+        return EXIT_USAGE
+    err = cap_error("K", args.K) or cap_error("c", args.channels)
+    if err:
+        print("invalid training flags: %s" % err, file=sys.stderr)
         return EXIT_USAGE
     manifest = _read_dir(args.data)
     dataset = datakit.build_dataset(manifest, base_dir=args.data)

@@ -20,6 +20,7 @@ training sets, so the two never share a mask distribution.
 """
 
 import os
+import re
 import secrets
 from dataclasses import dataclass
 
@@ -28,6 +29,8 @@ import numpy as np
 from .cdp import masks_from_seed, measure
 from .errors import FormatError, UnsupportedFormatError, UnsupportedVersionError
 from .field import (
+    DATASET_CAP,
+    FIELD_CAPS,
     STREAM_MASKS_TEST,
     STREAM_MASKS_TRAIN,
     STREAM_NOISE,
@@ -110,81 +113,68 @@ def save_pgm(image, path):
     atomic_write(path, header + q.tobytes())
 
 
-class _PgmScanner:
-    """Tokenizer for the PGM header: whitespace-separated, # comments."""
+# a PGM header (magic, width, height, maxval) must end within this many
+# bytes; the raster is read only once its size has passed the checks
+PGM_HEADER_BUDGET = 4096
+# whitespace and # comments, then one header token (empty when missing)
+_PGM_TOKEN = re.compile(rb"(?:[ \t\r\n]|#[^\n]*)*([^ \t\r\n#]*)")
 
-    def __init__(self, data):
-        self.data = data
-        self.pos = 0
-        self.line = 1
 
-    def _advance(self):
-        while self.pos < len(self.data):
-            b = self.data[self.pos]
-            if b == 0x23:  # '#': comment to end of line
-                while self.pos < len(self.data) and self.data[self.pos] != 0x0A:
-                    self.pos += 1
-            elif b in (0x20, 0x09, 0x0D, 0x0A):
-                if b == 0x0A:
-                    self.line += 1
-                self.pos += 1
-            else:
-                return
-
-    def token(self, what):
-        self._advance()
-        start = self.pos
-        while self.pos < len(self.data) and self.data[self.pos] not in (
-            0x20, 0x09, 0x0D, 0x0A, 0x23,
-        ):
-            self.pos += 1
-        if self.pos == start:
-            raise FormatError(
-                "missing %s in PGM header (line %d)" % (what, self.line),
-                offset=start,
-            )
-        return self.data[start:self.pos]
-
-    def int_token(self, what):
-        tok = self.token(what)
-        try:
-            return int(tok)
-        except ValueError:
-            raise FormatError(
-                "bad %s %r in PGM header (line %d)" % (what, tok, self.line),
-                offset=self.pos,
-            ) from None
+def _pgm_token(head, pos, size, what):
+    """The header token after ``pos``: (token, end offset, line number)."""
+    m = _PGM_TOKEN.match(head, pos)
+    end = m.end()
+    if end == len(head) < size:
+        raise FormatError(
+            "PGM header does not end within %d bytes" % PGM_HEADER_BUDGET, offset=end
+        )
+    line = head.count(b"\n", 0, end) + 1
+    if not m.group(1):
+        raise FormatError("missing %s in PGM header (line %d)" % (what, line), offset=end)
+    return m.group(1), end, line
 
 
 def load_pgm(path):
-    """Read a binary PGM into a [0,1] float image."""
+    """Read a binary PGM into a [0,1] float image.
+
+    Width and height may be any size up to their ``FIELD_CAPS``; the raster
+    is read only after the header has been checked against the file size.
+    """
     with open(path, "rb") as f:
-        data = f.read()
-    sc = _PgmScanner(data)
-    magic = sc.token("magic")
-    if magic == b"P2":
-        raise UnsupportedFormatError("ASCII PGM (P2) not supported, need binary P5")
-    if magic != b"P5":
-        raise FormatError("not a PGM file, magic %r" % magic, offset=0)
-    w = sc.int_token("width")
-    h = sc.int_token("height")
-    maxval = sc.int_token("maxval")
-    if w <= 0 or h <= 0:
-        raise FormatError("bad dimensions %dx%d (line %d)" % (w, h, sc.line))
-    if maxval != 255:
-        raise UnsupportedFormatError("maxval %d not supported, need 255" % maxval)
-    # exactly one whitespace byte separates header from raster
-    if sc.pos >= len(data) or data[sc.pos] not in (0x20, 0x09, 0x0D, 0x0A):
-        raise FormatError("missing raster separator", offset=sc.pos)
-    start = sc.pos + 1
-    need = h * w
-    if len(data) - start < need:
-        raise FormatError(
-            "raster truncated: need %d bytes, have %d" % (need, len(data) - start),
-            offset=len(data),
-        )
-    raw = np.frombuffer(data, dtype=np.uint8, count=need, offset=start)
-    return raw.reshape(h, w).astype(np.float64) / 255.0
+        head = f.read(PGM_HEADER_BUDGET)
+        size = os.fstat(f.fileno()).st_size
+        magic, pos, _ = _pgm_token(head, 0, size, "magic")
+        if magic == b"P2":
+            raise UnsupportedFormatError("ASCII PGM (P2) not supported, need binary P5")
+        if magic != b"P5":
+            raise FormatError("not a PGM file, magic %r" % magic, offset=0)
+        fields = []
+        for what in ("width", "height", "maxval"):
+            tok, pos, line = _pgm_token(head, pos, size, what)
+            try:
+                fields.append(int(tok))
+            except ValueError:
+                raise FormatError(
+                    "bad %s %r in PGM header (line %d)" % (what, tok, line), offset=pos
+                ) from None
+        w, h, maxval = fields
+        if not (1 <= w <= FIELD_CAPS["w"] and 1 <= h <= FIELD_CAPS["h"]):
+            raise FormatError("bad dimensions %dx%d, need width in [1, %d] and height "
+                              "in [1, %d] (line %d)"
+                              % (w, h, FIELD_CAPS["w"], FIELD_CAPS["h"], line))
+        if maxval != 255:
+            raise UnsupportedFormatError("maxval %d not supported, need 255" % maxval)
+        # exactly one whitespace byte separates header from raster
+        if pos == len(head) or head[pos] not in b" \t\r\n":
+            raise FormatError("missing raster separator", offset=pos)
+        start = pos + 1
+        need = h * w
+        if size - start < need:
+            raise FormatError("raster truncated: need %d bytes, have %d"
+                              % (need, size - start), offset=size)
+        f.seek(start)
+        raster = np.frombuffer(f.read(need), dtype=np.uint8, count=need)
+    return raster.reshape(h, w).astype(np.float64) / 255.0
 
 
 # ---------------------------------------------------------------------------
@@ -232,11 +222,33 @@ def write_manifest(manifest, path):
     atomic_write(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
-def _parse_int(value, key, line_no):
+# manifest header keys -> the FIELD_CAPS entry each value is checked against
+_HEAD_CAPS = {"version": None, "height": "h", "width": "w", "count": None, "seed": None,
+              "masks": "J"}
+# the fields of a sample.<index>.<field> key, named as in SampleRecord
+_SAMPLE_FIELDS = ("image", "synth_seed", "alpha", "mask_seed")
+
+
+def _parse_int(value, key, line_no, cap=None):
     try:
-        return int(value)
+        n = int(value)
     except ValueError:
         raise FormatError("bad integer for %s (line %d)" % (key, line_no)) from None
+    err = cap and cap_error(cap, n)
+    if err:
+        raise FormatError("%s %s (line %d)" % (key, err, line_no))
+    return n
+
+
+def _parse_alpha(value, line_no):
+    try:
+        alpha = float(value)
+    except ValueError:
+        alpha = np.nan
+    if 0 <= alpha < np.inf:
+        return alpha
+    raise FormatError(
+        "bad alpha %r, need a finite nonnegative number (line %d)" % (value, line_no))
 
 
 def read_manifest(path):
@@ -258,69 +270,41 @@ def read_manifest(path):
                 raise FormatError("bad sample key %r (line %d)" % (key, line_no))
             idx = _parse_int(parts[1], key, line_no)
             field_name = parts[2]
-            if field_name not in ("image", "synth_seed", "alpha", "mask_seed"):
+            if field_name not in _SAMPLE_FIELDS:
                 raise FormatError("unknown sample field %r (line %d)" % (key, line_no))
-            samples.setdefault(idx, {})[field_name] = (value, line_no)
-        elif key in ("version", "height", "width", "count", "seed", "masks"):
-            head[key] = (value, line_no)
+            if field_name == "alpha":
+                value = _parse_alpha(value, line_no)
+            elif field_name != "image":
+                value = _parse_int(value, field_name, line_no)
+            samples.setdefault(idx, {})[field_name] = value
+        elif key in _HEAD_CAPS:
+            head[key] = _parse_int(value, key, line_no, _HEAD_CAPS[key])
+            if key == "version" and head[key] != MANIFEST_VERSION:
+                raise UnsupportedVersionError("manifest version %d unsupported" % head[key])
         else:
             raise FormatError("unknown key %r (line %d)" % (key, line_no))
-    for need in ("version", "height", "width", "count", "seed", "masks"):
+    for need in _HEAD_CAPS:
         if need not in head:
             raise FormatError("manifest missing %s" % need)
-    version = _parse_int(head["version"][0], "version", head["version"][1])
-    if version != MANIFEST_VERSION:
-        raise UnsupportedVersionError("manifest version %d unsupported" % version)
-    count = _parse_int(head["count"][0], "count", head["count"][1])
-
-    def capped(key, name):
-        value, line_no = head[key]
-        n = _parse_int(value, key, line_no)
-        err = cap_error(name, n)
-        if err:
-            raise FormatError("%s %s (line %d)" % (key, err, line_no))
-        return n
-
-    manifest = DatasetManifest(
-        height=capped("height", "h"),
-        width=capped("width", "w"),
-        seed=_parse_int(head["seed"][0], "seed", head["seed"][1]),
-        num_masks=capped("masks", "J"),
-        records=[],
-    )
+    count = head["count"]
+    values = count * head["masks"] * head["height"] * head["width"]
+    if values > DATASET_CAP:
+        raise FormatError("count x masks x height x width is %d, over the cap of %d"
+                          % (values, DATASET_CAP))
+    records = []
     for i in range(count):
-        if i not in samples:
+        rec = samples.get(i)
+        if rec is None:
             raise FormatError("manifest missing sample.%d.* records" % i)
-        rec = samples[i]
         if "alpha" not in rec or "mask_seed" not in rec:
             raise FormatError("sample %d missing alpha or mask_seed" % i)
-        try:
-            alpha = float(rec["alpha"][0])
-        except ValueError:
-            alpha = np.nan
-        if not 0 <= alpha < np.inf:
-            raise FormatError(
-                "bad alpha %r, need a finite nonnegative number (line %d)" % rec["alpha"]
-            )
-        image = rec["image"][0] if "image" in rec else None
-        synth_seed = (
-            _parse_int(rec["synth_seed"][0], "synth_seed", rec["synth_seed"][1])
-            if "synth_seed" in rec else None
-        )
-        if (image is None) == (synth_seed is None):
+        if ("image" in rec) == ("synth_seed" in rec):
             raise FormatError("sample %d needs exactly one of image or synth_seed" % i)
-        manifest.records.append(
-            SampleRecord(
-                alpha=alpha,
-                mask_seed=_parse_int(rec["mask_seed"][0], "mask_seed", rec["mask_seed"][1]),
-                image=image,
-                synth_seed=synth_seed,
-            )
-        )
+        records.append(SampleRecord(**rec))
     extra = set(samples) - set(range(count))
     if extra:
         raise FormatError("sample index %d out of range (count=%d)" % (min(extra), count))
-    return manifest
+    return DatasetManifest(head["height"], head["width"], head["seed"], head["masks"], records)
 
 
 # ---------------------------------------------------------------------------

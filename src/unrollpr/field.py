@@ -24,6 +24,9 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 # size read from outside (checkpoint headers, manifests, the command line):
 # a size beyond them is rejected before anything is allocated for it
 FIELD_CAPS = {"K": 64, "c": 1024, "J": 64, "h": 4096, "w": 4096}
+# cap on count x masks x height x width of a dataset read from a manifest:
+# its measurement values and the masks they carry are that many entries each
+DATASET_CAP = 2 ** 24
 
 
 def is_pow2(n):

@@ -368,7 +368,6 @@ class ForwardTape:
     stage_caches: list
     x0: np.ndarray
     output: np.ndarray
-    batched_input: bool
 
 
 def net_forward(y, masks, params, x0=None):
@@ -403,10 +402,7 @@ def net_forward(y, masks, params, x0=None):
         r, c_sgd = sgd_step_fwd(x, stage, yb, ms)
         x, c_ppm = ppm_fwd(r, stage)
         caches.append((c_sgd, c_ppm))
-    tape = ForwardTape(
-        params=params, stage_caches=caches, x0=xb, output=x,
-        batched_input=not squeezed,
-    )
+    tape = ForwardTape(params=params, stage_caches=caches, x0=xb, output=x)
     return (x[0] if squeezed else x), tape
 
 

@@ -29,7 +29,7 @@ import signal
 import struct
 import time
 import traceback
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,6 +41,8 @@ from .field import FIELD_CAPS, STREAM_INIT, STREAM_SHUFFLE, cap_error, derive_rn
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+LR_DECAY = 0.95
+LR_DECAY_EVERY = 2
 
 # images per net_forward call when scoring a whole set: bounds the tape
 # held at once, and batch invariance keeps the outputs bit-identical
@@ -120,9 +122,6 @@ class AdamState:
     m: dict
     v: dict
     step: int = 0
-    beta1: float = ADAM_BETA1
-    beta2: float = ADAM_BETA2
-    eps: float = ADAM_EPS
 
 
 def init_adam(params):
@@ -143,8 +142,8 @@ def adam_update(params, grads, state, lr):
     """
     state.step += 1
     k = state.step
-    c1 = 1.0 - state.beta1 ** k
-    c2 = 1.0 - state.beta2 ** k
+    c1 = 1.0 - ADAM_BETA1 ** k
+    c2 = 1.0 - ADAM_BETA2 ** k
     for name, arr in params.tensors():
         g = grads.get(name)
         if g is None:
@@ -157,11 +156,11 @@ def adam_update(params, grads, state, lr):
         gf = _real_flat(g)
         m = state.m[name]
         v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * gf
-        v *= state.beta2
-        v += (1.0 - state.beta2) * gf * gf
-        upd = lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * gf
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * gf * gf
+        upd = lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
         rv = arr.view(np.float64)
         rv[...] -= upd.reshape(rv.shape)
     return params, state
@@ -175,8 +174,6 @@ class TrainConfig:
     epochs: int
     batch_size: int = 10
     lr: float = 1e-3
-    decay: float = 0.95
-    decay_every: int = 2
     seed: int = 0
     num_stages: int = 7
     channels: int = 32
@@ -188,10 +185,10 @@ class TrainConfig:
 
 
 def lr_schedule(epoch, config):
-    """Stepped decay: lr * decay^(epoch // decay_every), epoch counted from 0."""
+    """Stepped decay: lr * LR_DECAY^(epoch // LR_DECAY_EVERY), epoch from 0."""
     if epoch < 0:
         raise ValueError("epoch must be nonnegative")
-    return config.lr * config.decay ** (epoch // config.decay_every)
+    return config.lr * LR_DECAY ** (epoch // LR_DECAY_EVERY)
 
 
 # ---------------------------------------------------------------------------
@@ -600,5 +597,9 @@ def checkpoint_load(path):
     for name, arr in net.tensors():
         m[name] = take(name + ".m", arr.nbytes // 8)
         v[name] = take(name + ".v", arr.nbytes // 8)
-    step = take("step counter", 1)
-    return net, AdamState(m=m, v=v, step=int(step[0]))
+    (step,) = take("step counter", 1)
+    # the digest catches corruption, not a crafted file; a float64 counts exactly
+    # up to 2**53
+    if not 0 <= step < 2 ** 53 or step % 1:
+        raise FormatError("step counter %r is not a count" % float(step), offset=pos - 8)
+    return net, AdamState(m=m, v=v, step=int(step))

@@ -133,6 +133,45 @@ def test_train_rejects_manifest_noise_level(tmp_path, capsys, monkeypatch, alpha
     assert "bad alpha %r" % alpha in err and "(line %d)" % line in err
 
 
+@pytest.mark.parametrize("flag,value,err", [
+    ("--K", "65", "K=65 outside [1, 64]"), ("--channels", "1025", "c=1025 outside [1, 1024]"),
+])
+def test_train_rejects_flags_beyond_the_cap(tmp_path, capsys, monkeypatch, flag, value, err):
+    data = _gen(tmp_path, seed=8)
+    _forbid(monkeypatch, datakit, "read_manifest")
+    _forbid(monkeypatch, datakit, "build_dataset")
+    out = tmp_path / "out"
+    out.mkdir()
+    rc = main(["train", "--data", str(data), "--out", str(out / "m.ckpt"), "--epochs", "1",
+               "--K", "1", "--channels", "1", flag, value])
+    assert rc == 2
+    assert err in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("lr", ["nan", "inf"])
+def test_train_rejects_non_finite_learning_rate(tmp_path, capsys, monkeypatch, lr):
+    data = _gen(tmp_path, seed=8)
+    _forbid(monkeypatch, datakit, "read_manifest")
+    rc = main(["train", "--data", str(data), "--out", str(tmp_path / "m"), "--epochs", "1",
+               "--lr", lr])
+    assert rc == 2
+    assert "invalid" in capsys.readouterr().err
+
+
+def test_train_rejects_datasets_beyond_the_size_bound(tmp_path, capsys, monkeypatch):
+    # nine lines, each field inside its own cap: 64 masks of 4096x4096 would be 8 GiB
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / datakit.MANIFEST_NAME).write_text(
+        "version=1\nheight=4096\nwidth=4096\ncount=1\nseed=1\nmasks=64\n"
+        "sample.0.synth_seed=1\nsample.0.alpha=27\nsample.0.mask_seed=1\n")
+    _forbid(monkeypatch, datakit, "build_dataset")
+    rc = main(["train", "--data", str(data), "--out", str(tmp_path / "m"), "--epochs", "1"])
+    assert rc == 3
+    assert "over the cap" in capsys.readouterr().err
+
+
 def test_train_zero_epochs_saves_initialization(tmp_path):
     data = _gen(tmp_path, seed=4)
     ckpt = _train(tmp_path, data, epochs=0, extra=("--seed", "11"))

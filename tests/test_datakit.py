@@ -1,10 +1,14 @@
 """Synthetic images, PGM round-trips, manifests, and dataset assembly."""
 
+import io
+
 import numpy as np
 import pytest
 
+from unrollpr import datakit
 from unrollpr.datakit import (
     MANIFEST_NAME,
+    PGM_HEADER_BUDGET,
     DatasetManifest,
     SampleRecord,
     build_dataset,
@@ -17,7 +21,7 @@ from unrollpr.datakit import (
     write_manifest,
 )
 from unrollpr.errors import FormatError, UnsupportedFormatError, UnsupportedVersionError
-from unrollpr.field import SeededRng
+from unrollpr.field import DATASET_CAP, SeededRng
 
 
 # ---------------------------------------------------------------------------
@@ -130,6 +134,63 @@ def test_pgm_garbage_dimensions_rejected(tmp_path):
         load_pgm(str(p))
 
 
+@pytest.mark.parametrize("header,raster", [
+    (b"P5\n4097 1\n255\n", 4097),
+    (b"P5\n1 4097\n255\n", 4097),
+    (b"P5\n12000 12000\n255\n", 16),
+    (b"P5\n0 4\n255\n", 16),
+])
+def test_pgm_dimensions_beyond_the_cap_rejected(tmp_path, header, raster):
+    p = tmp_path / "j.pgm"
+    p.write_bytes(header + bytes(raster))
+    with pytest.raises(FormatError, match="bad dimensions"):
+        load_pgm(str(p))
+
+
+def test_pgm_header_must_end_within_the_budget(tmp_path):
+    # a comment pads the header so the raster starts exactly at the budget
+    tail = b"\n2 2\n255\n"
+    pad = PGM_HEADER_BUDGET - len(b"P5#") - len(tail)
+    p = tmp_path / "k.pgm"
+    p.write_bytes(b"P5#" + b"c" * pad + tail + bytes([0, 1, 2, 3]))
+    assert load_pgm(str(p)).shape == (2, 2)
+    p.write_bytes(b"P5#" + b"c" * (pad + 1) + tail + bytes([0, 1, 2, 3]))
+    with pytest.raises(FormatError, match="does not end within %d bytes" % PGM_HEADER_BUDGET):
+        load_pgm(str(p))
+
+
+def _count_reads(monkeypatch):
+    """Record the size of every read load_pgm makes."""
+    reads = []
+
+    class Counted(io.BufferedReader):
+        def read(self, n=-1):
+            reads.append(n)
+            return super().read(n)
+
+    monkeypatch.setattr(datakit, "open", lambda path, mode: Counted(io.FileIO(path)),
+                        raising=False)
+    return reads
+
+
+def test_pgm_reads_the_header_budget_then_exactly_the_raster(tmp_path, monkeypatch):
+    img = np.rint(synth_image(SeededRng(4), 64, 64) * 255.0) / 255.0
+    p = tmp_path / "l.pgm"
+    save_pgm(img, str(p))
+    reads = _count_reads(monkeypatch)
+    assert np.array_equal(load_pgm(str(p)), img)
+    assert reads == [PGM_HEADER_BUDGET, 64 * 64]
+
+
+def test_pgm_size_checks_come_before_the_raster_is_read(tmp_path, monkeypatch):
+    p = tmp_path / "m.pgm"
+    p.write_bytes(b"P5\n4096 4096\n255\n" + bytes(PGM_HEADER_BUDGET))
+    reads = _count_reads(monkeypatch)
+    with pytest.raises(FormatError, match="raster truncated"):
+        load_pgm(str(p))
+    assert reads == [PGM_HEADER_BUDGET]
+
+
 # ---------------------------------------------------------------------------
 # manifest
 
@@ -184,6 +245,31 @@ def test_manifest_conflicting_source_rejected(tmp_path):
     p.write_text(p.read_text() + "sample.0.synth_seed=5\n")
     with pytest.raises(FormatError):
         read_manifest(str(p))
+
+
+def _sized_manifest(path, count, masks, size):
+    lines = ["version=1", "height=%d" % size, "width=%d" % size, "count=%d" % count,
+             "seed=1", "masks=%d" % masks]
+    for i in range(count):
+        lines += ["sample.%d.synth_seed=%d" % (i, i), "sample.%d.alpha=27" % i,
+                  "sample.%d.mask_seed=%d" % (i, i)]
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("count,masks,size,ok", [
+    (1, 64, 4096, False),  # 2**30 values, every field within its own cap
+    (2, 1, 4096, False),
+    (1, 1, 4096, True),  # 2**24 values, the largest set allowed
+    (200, 4, 32, True),
+])
+def test_manifest_dataset_size_bound(tmp_path, count, masks, size, ok):
+    p = tmp_path / "m.txt"
+    _sized_manifest(p, count, masks, size)
+    if ok:
+        assert read_manifest(str(p)).count == count
+    else:
+        with pytest.raises(FormatError, match="over the cap of %d" % DATASET_CAP):
+            read_manifest(str(p))
 
 
 def test_manifest_error_names_line_number(tmp_path):

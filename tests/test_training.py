@@ -611,6 +611,18 @@ def test_checkpoint_writes_version_2_sha256_trailer(tmp_path):
     assert data[-32:] == hashlib.sha256(data[:-32]).digest()
 
 
+@pytest.mark.parametrize("step", [math.inf, math.nan, -1.0, 2.5, 2.0 ** 64])
+def test_checkpoint_step_counter_must_be_a_count(tmp_path, step):
+    # a crafted file can carry a matching digest, so the value itself is checked
+    _, _, path = _trained_pair(tmp_path)
+    data = bytearray(path.read_bytes()[:-32])
+    data[-8:] = struct.pack("<d", step)
+    path.write_bytes(bytes(data) + hashlib.sha256(data).digest())
+    with pytest.raises(FormatError, match="step counter") as info:
+        checkpoint_load(str(path))
+    assert info.value.offset == len(data) - 8
+
+
 # SHA-256 of the checkpoint each layout below saves, pinned from the
 # format's first version 2 writer so a refactor cannot move a byte
 LAYOUT_SHA256 = {
