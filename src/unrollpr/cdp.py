@@ -203,13 +203,25 @@ def _mask_set(mask_set):
 
 
 def _matmul(v, m):
-    """m applied to each flattened (h, w) field of v; returns (m v, flat v)."""
-    vf = v.reshape(v.shape[:-2] + m.shape[1:])
+    """m applied to each flattened (h, w) field of v; returns (m v, flat v).
+
+    All leading axes fold into the rows of one (B*J, N) @ (N, N) GEMM; numpy
+    loops over a stacked operand, one J-row GEMM per image.  So batch
+    invariance rests on the BLAS giving a row the same bits whatever the row
+    count (checked with OpenBLAS 0.3.31, pinned by tests).  numpy sends a
+    one-row product to gemv, whose bits differ from gemm's, so one-mask
+    images keep one gemv each.
+    """
+    n = m.shape[1]
+    vf = v.reshape((-1, n) if v.shape[-3] > 1 else (-1, 1, n))
     return (vf @ m.T).reshape(v.shape), vf
 
 
 def _matmul_vjp(dout, vf, m):
-    """Pull dout back through :func:`_matmul`: (dv, dm summed over leading axes)."""
+    """Pull dout back through :func:`_matmul`: (dv, dm summed over leading axes).
+
+    dout takes vf's row layout, so dv is one GEMM over the batch as well.
+    """
     n = vf.shape[-1]
     df = dout.reshape(vf.shape)
     dm = df.reshape(-1, n).T @ np.conj(vf.reshape(-1, n))

@@ -1,9 +1,10 @@
 """Command-line surface: gen-data, train, eval, reconstruct, selfcheck.
 
-Exit codes: 0 success, 1 selfcheck failure, 2 usage error, 3 I/O error,
-4 shape/compatibility error.  Every output file is written atomically.
-All randomness flows from the --seed flags through named streams, so each
-command's outputs are reproducible from its flags alone.
+Exit codes: 0 success, 1 selfcheck failure, 2 usage error (training that
+diverges included), 3 I/O error, 4 shape/compatibility error.  Every output
+file is written atomically.  All randomness flows from the --seed flags
+through named streams, so each command's outputs are reproducible from its
+flags alone.
 """
 
 import argparse
@@ -113,6 +114,7 @@ def cmd_eval(args):
         return EXIT_IO
     if not _check_compat(net, manifest):
         return EXIT_SHAPE
+    metrics.check_ssim_shape((manifest.height, manifest.width))
     dataset = datakit.build_dataset(manifest, base_dir=args.data)
     images, ys, masks = datakit.stack_dataset(dataset)
     x = images if args.bypass else training.forward_chunked(net, ys, masks)
@@ -241,7 +243,7 @@ def main(argv=None):
     except OSError as e:
         print("error: %s" % e, file=sys.stderr)
         return EXIT_IO
-    except ValueError as e:
+    except (ValueError, FloatingPointError) as e:  # bad input, or training diverged
         print("error: %s" % e, file=sys.stderr)
         return EXIT_USAGE
 

@@ -16,7 +16,11 @@ gradient is the same correlation of the padded output gradient with the
 ``dy[b] @ x_pad[b][:, off:off+n].T`` summed over the batch.
 
 The batch stays the outer axis: every image gets its own GEMMs, so an
-image's output does not depend on which images share its batch.  With one
+image's output does not depend on which images share its batch.  The dense
+measurement operator (``cdp._matmul``) differs: it folds the batch into
+the rows of one GEMM, so there batch invariance rests on the BLAS giving
+each row the same bits whatever the row count, not on one GEMM per image
+(checked with OpenBLAS 0.3.31; the batch-invariance tests pin it).  With one
 input channel a tap GEMM would have inner dimension 1, a slow outer
 product in BLAS; there the nine taps are stacked into one (c_out, 9) @
 (9, n) GEMM per image instead.

@@ -48,6 +48,14 @@ def _band(n):
     return band
 
 
+def check_ssim_shape(shape):
+    """Raise ValueError unless ``shape`` is 2-D with sides of at least SSIM_WINDOW."""
+    if len(shape) != 2 or min(shape) < SSIM_WINDOW:
+        raise ValueError(
+            "images must be at least %dx%d, got %r" % (SSIM_WINDOW, SSIM_WINDOW, tuple(shape))
+        )
+
+
 def ssim(x, ref):
     """Mean local SSIM, 11x11 Gaussian window sigma=1.5, valid windowing.
 
@@ -57,10 +65,7 @@ def ssim(x, ref):
     ref = np.asarray(ref, dtype=np.float64)
     if x.shape != ref.shape:
         raise ValueError("shape mismatch %r vs %r" % (x.shape, ref.shape))
-    if x.ndim != 2 or min(x.shape) < SSIM_WINDOW:
-        raise ValueError(
-            "images must be at least %dx%d, got %r" % (SSIM_WINDOW, SSIM_WINDOW, x.shape)
-        )
+    check_ssim_shape(x.shape)
     c1 = SSIM_K1 ** 2
     c2 = SSIM_K2 ** 2
     # the 2-D window is the outer product of the 1-D one: filter the columns,

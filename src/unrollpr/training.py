@@ -405,6 +405,8 @@ def train_full(dataset, config, net=None, val_dataset=None, log_path=None):
         raise ValueError("empty dataset")
     images, ys, masks = stack_dataset(dataset)
     val_pack = stack_dataset(val_dataset) if val_dataset else None
+    if val_pack:  # validation scores SSIM: fail before any epoch runs
+        metrics.check_ssim_shape(val_pack[0].shape[1:])
     h, w = images.shape[1:]
     j = ys.shape[1]
     if net is None:

@@ -11,6 +11,8 @@ from unrollpr.cdp import (
     masks_from_seed,
     measure,
     operator_adjoint,
+    operator_adjoint_fwd,
+    operator_adjoint_vjp,
     operator_apply,
     operator_apply_fwd,
     operator_apply_vjp,
@@ -99,6 +101,44 @@ def test_dense_init_matches_fixed_and_matrix_oracle():
     for j in range(2):
         ref = (f2 @ (ms.masks[j] * x).ravel()).reshape(4, 4)
         assert np.max(np.abs(zd[j] - ref)) <= 1e-12
+
+
+def _dense_case(b, j, h):
+    x = SeededRng(10).normal(b * h * h).reshape(b, h, h)
+    z = _rand_complex(SeededRng(11), (b, j, h, h))
+    masks = np.stack([masks_from_seed(i, j, h, h).masks for i in range(b)])
+    p = OperatorParams.dense(h, h)
+    p.mat = p.mat + 0.1 * _rand_complex(SeededRng(12), p.mat.shape)
+    return x, z, masks, p
+
+
+def test_dense_caches_rows_of_one_gemm():
+    # each dense product is one GEMM over the whole batch: the caches hold
+    # the modulated field as one 2-D (B*J, N) view of its (B, J, h, w) buffer
+    b, j, h = 3, 2, 4
+    x, z, masks, p = _dense_case(b, j, h)
+    _, ca = operator_apply_fwd(x, masks, p)
+    _, cs = operator_adjoint_fwd(z, masks, p)
+    assert ca["uf"].shape == (b * j, h * h) and ca["uf"].base.shape == (b, j, h, h)
+    assert np.array_equal(ca["uf"].base, masks * x[:, None])
+    assert cs["zf"].shape == (b * j, h * h) and np.shares_memory(cs["zf"], z)
+
+
+def test_dense_one_mask_bitwise_invariant_to_batch():
+    # numpy runs a one-row product through gemv, whose bits differ from
+    # gemm's, so one-mask images must not fold into a many-row GEMM
+    b, h = 6, 4
+    x, z, masks, p = _dense_case(b, 1, h)
+
+    def run(s):
+        w, ca = operator_apply_fwd(x[s], masks[s], p)
+        a, cs = operator_adjoint_fwd(z[s], masks[s], p)
+        return w, a, operator_apply_vjp(z[s], ca)[0], operator_adjoint_vjp(x[s], cs)[0]
+
+    whole = run(slice(None))
+    for i in range(b):
+        for all_rows, one in zip(whole, run(slice(i, i + 1))):
+            assert np.array_equal(all_rows[i:i + 1], one)
 
 
 def test_dft_matrix_is_unitary_and_matches_brute_force():

@@ -243,6 +243,32 @@ def test_train_with_validation_fills_csv(tmp_path):
     assert row[3] != "" and row[4] != ""
 
 
+def test_train_divergence_exits_cleanly(tmp_path, capsys):
+    data = _gen(tmp_path, seed=18)
+    ckpt = tmp_path / "m.ckpt"
+    rc = main(["train", "--data", str(data), "--out", str(ckpt), "--epochs", "2",
+               "--K", "1", "--channels", "1", "--batch", "2", "--lr", "1e30"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert [ln for ln in err.splitlines() if ln.startswith("error:")] == [
+        "error: training diverged at epoch 1 step 2: loss inf"]
+    assert not ckpt.exists() and not (tmp_path / "m.ckpt.csv").exists()
+
+
+def test_train_rejects_validation_images_below_the_ssim_window(tmp_path, capsys,
+                                                               monkeypatch):
+    data = _gen(tmp_path, "tr", seed=19, size="16x16")
+    val = _gen(tmp_path, "va", count=2, seed=20, size="8x8")
+    _forbid(monkeypatch, network, "init_net")
+    ckpt = tmp_path / "m.ckpt"
+    rc = main(["train", "--data", str(data), "--out", str(ckpt), "--epochs", "1",
+               "--K", "1", "--channels", "1", "--val-data", str(val)])
+    assert rc == 2
+    assert "at least 11x11, got (8, 8)" in capsys.readouterr().err
+    assert not ckpt.exists() and not (tmp_path / "m.ckpt.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # eval
 
@@ -321,6 +347,16 @@ def test_eval_checks_shapes_before_building_the_dataset(tmp_path, capsys, monkey
     rc = main(["eval", "--ckpt", str(ckpt), "--data", str(big)])
     assert rc == 4
     assert "16x16" in capsys.readouterr().err
+
+
+def test_eval_rejects_images_below_the_ssim_window_before_building(tmp_path, capsys,
+                                                                  monkeypatch):
+    data = _gen(tmp_path, size="8x8", seed=21)
+    ckpt = _train(tmp_path, data, epochs=0)
+    _forbid(monkeypatch, datakit, "build_dataset")
+    rc = main(["eval", "--ckpt", str(ckpt), "--data", str(data)])
+    assert rc == 2
+    assert "at least 11x11, got (8, 8)" in capsys.readouterr().err
 
 
 def test_eval_missing_checkpoint(tmp_path):

@@ -7,7 +7,7 @@ import pytest
 from unrollpr import cdp, conv, network
 from unrollpr.conv import conv2d_bwd, conv2d_fwd, rows
 from unrollpr.field import SeededRng
-from unrollpr.network import init_net, net_forward
+from unrollpr.network import init_net, net_backward_from_output, net_forward
 
 
 def _conv_brute(x, w, b):
@@ -176,5 +176,29 @@ def test_net_forward_bitwise_invariant_to_batch(mode):
     chunked = np.concatenate([net_forward(ys[i:i + 7], masks[i:i + 7], net)[0]
                               for i in range(0, n, 7)])
     single = np.stack([net_forward(ys[i], masks[i], net)[0] for i in range(n)])
+    assert np.array_equal(whole, chunked)
+    assert np.array_equal(whole, single)
+
+
+@pytest.mark.parametrize("mode", ["fixed", "structured", "dense"])
+def test_net_backward_input_cotangent_bitwise_invariant_to_batch(mode):
+    # the shapes of the forward test above; the dense operator's products run
+    # as one GEMM over all rows of the batch, so this rests on the BLAS
+    # giving each row the same bits whatever the row count
+    n, h, j = 40, 16, 2
+    net = init_net(h, h, num_stages=2, channels=8, num_masks=j, mode=mode,
+                   rng=SeededRng(3))
+    rng = SeededRng(4)
+    ys = rng.uniform(n * j * h * h).reshape(n, j, h, h)
+    dout = rng.normal(n * h * h).reshape(n, h, h)
+    masks = np.stack([cdp.masks_from_seed(i % 3, j, h, h).masks for i in range(n)])
+
+    def dx(s):
+        _, tape = net_forward(ys[s], masks[s], net)
+        return net_backward_from_output(tape, dout[s])[1]
+
+    whole = dx(slice(None))
+    chunked = np.concatenate([dx(slice(i, i + 7)) for i in range(0, n, 7)])
+    single = np.concatenate([dx(i) for i in range(n)])
     assert np.array_equal(whole, chunked)
     assert np.array_equal(whole, single)
