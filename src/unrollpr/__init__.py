@@ -47,14 +47,14 @@ from .training import (
 # glibc mallopt parameters (malloc.h) and the values set for them
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
-_TRIM_BYTES = 1 << 30  # free heap top kept: room for a freed 200-image desk eval tape
-_MMAP_BYTES = 32 << 20  # glibc's ceiling on 64-bit; desk eval arrays are ~14 MB
+_TRIM_BYTES = 1 << 30  # free heap top kept: room for a freed 200-image recorded desk tape
+_MMAP_BYTES = 32 << 20  # glibc's 64-bit ceiling; a 200-image recorded desk tape has ~14 MB arrays
 
 
 def _keep_freed_memory():
     """Keep freed arrays on malloc's free lists instead of the kernel's.
 
-    Every training step and eval frees its whole forward tape.  Under
+    Every training step frees its whole forward tape.  Under
     glibc's dynamic thresholds the large arrays are mmap'd and the top of
     the heap is trimmed once they are freed, so the next step faults the
     same pages in again and the kernel zeroes each one.  Fixed thresholds

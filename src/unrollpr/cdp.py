@@ -192,7 +192,7 @@ def _modulate(x, masks):
     return masks * x[..., None, :, :]
 
 
-def _mask_set(mask_set):
+def as_mask_set(mask_set):
     """A MaskSet as is; a raw (..., J, h, w) mask array wrapped in one.
 
     Passing the same MaskSet to several calls conjugates its masks once.
@@ -239,7 +239,7 @@ def operator_apply_fwd(x, mask_set, params):
     Returns (z, cache) with z of shape (..., J, h, w).  ``mask_set`` may be
     a MaskSet or a raw (..., J, h, w) array (batched per-sample masks).
     """
-    ms = _mask_set(mask_set)
+    ms = as_mask_set(mask_set)
     u = _modulate(np.asarray(x), ms.masks)
     g = params._tensor(adjoint=False)
     cache = {"mode": params.mode, "conj_masks": ms.conj, "g": g}
@@ -281,7 +281,7 @@ def operator_adjoint_fwd(z, mask_set, params):
 
     Returns (s, cache) with s of shape (..., h, w), complex.
     """
-    ms = _mask_set(mask_set)
+    ms = as_mask_set(mask_set)
     z = np.asarray(z)
     a = params._tensor(adjoint=True)
     cache = {"mode": params.mode, "masks": ms.masks, "a": a, "tied": params.tie_adjoint}

@@ -13,8 +13,10 @@ threshold positive while training it unconstrained.  The step size,
 threshold, both transforms and the measurement operator pair are all
 per-stage parameters, untied across stages unless asked otherwise.
 
-Each block is a (forward, vjp) pair sharing a cache; ``net_forward``
-records a per-stage tape that the training module walks backwards.
+Each block is a (forward, vjp) pair sharing a cache.  ``net_forward(...,
+record=True)`` records a per-stage tape that the training module walks
+backwards; without ``record`` (inference) no cache outlives its stage, and
+the stages run over blocks of images small enough to stay in cache.
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -35,6 +37,13 @@ STEP_SIZE_INIT = 0.01
 
 _REAL = np.dtype(np.float64)
 _STACK = ("w1", "b1", "w2", "b2")  # ConvStack field order
+
+# an unrecorded forward runs every stage on one block of images before the
+# next, so the stages' arrays stay in cache.  A block holds as many images as
+# fit in this many bytes at h*w*(16J + 8c) bytes an image, J complex fields
+# and c real feature maps per pixel: 12 images at 32x32, J=4, c=8.  Batch
+# invariance keeps each block's output bitwise equal to a whole-batch pass.
+_BLOCK_BYTES = 3 << 19
 
 
 def softplus(x):
@@ -362,7 +371,8 @@ def ppm_forward(r, stage):
 
 @dataclass
 class ForwardTape:
-    """Everything the backward pass needs from one forward evaluation."""
+    """One forward evaluation: its start and output, and, when recorded,
+    every stage's caches for the backward pass (empty otherwise)."""
 
     params: NetParams
     stage_caches: list
@@ -370,12 +380,26 @@ class ForwardTape:
     output: np.ndarray
 
 
-def net_forward(y, masks, params, x0=None):
+def _run_stages(x, y, ms, params, caches=None):
+    """All K stages on one batch; each stage's caches go to ``caches`` if
+    given, and are dropped otherwise."""
+    for stage in params.stages:
+        r, c_sgd = sgd_step_fwd(x, stage, y, ms)
+        x, c_ppm = ppm_fwd(r, stage)
+        if caches is not None:
+            caches.append((c_sgd, c_ppm))
+    return x
+
+
+def net_forward(y, masks, params, x0=None, *, record=False):
     """Run all stages; returns (reconstruction, tape).
 
     y is a MeasurementVector or raw values array, (J, h, w) or batched
     (B, J, h, w); masks is a MaskSet or array broadcastable to y's shape;
-    x0 defaults to the all-ones image.
+    x0 defaults to the all-ones image.  ``record`` keeps every stage's
+    caches on the tape, as :func:`net_backward_from_output` needs.  Without
+    it the tape holds only x0 and the output, and the stages run over blocks
+    of images (``_BLOCK_BYTES``) written into one output array.
     """
     yb, squeezed = _batched_meas(y)
     b = yb.shape[0]
@@ -385,9 +409,11 @@ def net_forward(y, masks, params, x0=None):
             "measurements %r do not match network (J=%d, %dx%d)"
             % (yb.shape, params.num_masks, h, w)
         )
-    ms = cdp._mask_set(masks)
+    ms = cdp.as_mask_set(masks)
     if ms.masks.shape[-3:] != (params.num_masks, h, w):
         raise ValueError("mask shape %r does not match network" % (ms.masks.shape,))
+    if ms.masks.shape[:-3] not in ((), (1,), (b,)):
+        raise ValueError("%d mask sets for %d measurements" % (len(ms.masks), b))
     if x0 is None:
         xb = np.ones((b, h, w))
     else:
@@ -396,12 +422,17 @@ def net_forward(y, masks, params, x0=None):
             xb = np.broadcast_to(xb, (b, h, w)).copy()
         if xb.shape != (b, h, w):
             raise ValueError("x0 shape %r does not match batch" % (xb.shape,))
-    x = xb
     caches = []
-    for stage in params.stages:
-        r, c_sgd = sgd_step_fwd(x, stage, yb, ms)
-        x, c_ppm = ppm_fwd(r, stage)
-        caches.append((c_sgd, c_ppm))
+    if record:
+        x = _run_stages(xb, yb, ms, params, caches)
+    else:
+        x = np.empty((b, h, w))
+        per_image = ms.masks.shape[:-3] == (b,)
+        n = max(1, _BLOCK_BYTES // (h * w * (16 * params.num_masks + 8 * params.channels)))
+        for i in range(0, b, n):
+            s = slice(i, i + n)
+            block_ms = cdp.as_mask_set(ms.masks[s]) if per_image else ms
+            x[s] = _run_stages(xb[s], yb[s], block_ms, params)
     tape = ForwardTape(params=params, stage_caches=caches, x0=xb, output=x)
     return (x[0] if squeezed else x), tape
 
@@ -413,6 +444,9 @@ def net_backward_from_output(tape, dout):
     operators accumulate under the stage0 names.
     """
     params = tape.params
+    if len(tape.stage_caches) != params.num_stages:
+        raise ValueError("the tape holds no stage caches: run net_forward(..., record=True) "
+                         "before a backward pass")
     dx = dout if dout.ndim == 3 else dout[None]
     grads = {}
 

@@ -107,7 +107,7 @@ def fd_gradients(net, y, masks, truth, h=1e-6):
 
 def grad_error_by_tensor(net, y, masks, truth):
     """Relative error between analytic and finite-difference gradients."""
-    x, tape = network.net_forward(y, masks, net)
+    x, tape = network.net_forward(y, masks, net, record=True)
     analytic = training.backward(tape, truth)
     fd = fd_gradients(net, y, masks, truth)
     errs = {}

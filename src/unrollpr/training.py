@@ -44,8 +44,8 @@ ADAM_EPS = 1e-8
 LR_DECAY = 0.95
 LR_DECAY_EVERY = 2
 
-# images per net_forward call when scoring a whole set: bounds the tape
-# held at once, and batch invariance keeps the outputs bit-identical
+# images per task when scoring a whole set, the unit that ``threads``
+# spreads over processes; batch invariance keeps the outputs bit-identical
 EVAL_CHUNK = 20
 
 CKPT_MAGIC = b"DLMM"
@@ -332,10 +332,15 @@ def _map(fn, arg_tuples, threads):
 
 
 def _grads(net, images, ys, masks, batch_scale):
-    """One chunk's summed squared error and its gradients."""
-    x, tape = network.net_forward(ys, masks, net)
-    sq = float(np.sum((x - images) ** 2))
-    return sq, backward(tape, images, batch_scale=batch_scale)
+    """One chunk's summed squared error and its gradients.
+
+    Overflow and NaN raise no numpy warning, here or in a worker process:
+    the caller's finite-loss check reports a diverged step once.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        x, tape = network.net_forward(ys, masks, net, record=True)
+        sq = float(np.sum((x - images) ** 2))
+        return sq, backward(tape, images, batch_scale=batch_scale)
 
 
 def _chunk_grads(net, images, ys, masks, idx, batch_scale, threads):
@@ -435,7 +440,8 @@ def train_full(dataset, config, net=None, val_dataset=None, log_path=None):
                 raise FloatingPointError(
                     "training diverged at epoch %d step %d: loss %r" % (epoch + 1, step, loss))
             sq_sum += loss * len(idx)
-            adam_update(net, grads, state, lr)
+            with np.errstate(over="ignore", invalid="ignore"):
+                adam_update(net, grads, state, lr)
         epoch_loss = sq_sum / ns
         history.append(epoch_loss)
         vp, vs = _val_metrics(net, val_pack, config.threads) if val_pack else ("", "")

@@ -137,7 +137,7 @@ def _group_of(name):
 
 def test_criterion_03_gradient_finite_differences():
     net, y, masks, truth = _generic_instance()
-    _, tape = net_forward(y, masks, net)
+    _, tape = net_forward(y, masks, net, record=True)
     analytic = backward(tape, truth)
 
     def loss_now():

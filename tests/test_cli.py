@@ -256,6 +256,26 @@ def test_train_divergence_exits_cleanly(tmp_path, capsys):
     assert not ckpt.exists() and not (tmp_path / "m.ckpt.csv").exists()
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+def test_train_divergence_prints_one_line(tmp_path, threads):
+    # at --threads 2 the worker is forked before training starts, so it runs
+    # its chunks under no numpy error state inherited from the parent
+    data = _gen(tmp_path, seed=18)
+    code = ("import sys\n"
+            "from unrollpr import cli, training\n"
+            "training._usable_cpus = lambda: 2\n"
+            "training._map(divmod, [(7, 2)] * %d, %d)\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n" % (threads, threads))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "train", "--data", str(data),
+         "--out", str(tmp_path / "m.ckpt"), "--epochs", "2", "--K", "1", "--channels", "1",
+         "--batch", "2", "--lr", "1e30", "--threads", str(threads)],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == ["error: training diverged at epoch 1 step 2: loss inf"]
+
+
 def test_train_rejects_validation_images_below_the_ssim_window(tmp_path, capsys,
                                                                monkeypatch):
     data = _gen(tmp_path, "tr", seed=19, size="16x16")

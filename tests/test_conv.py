@@ -194,7 +194,7 @@ def test_net_backward_input_cotangent_bitwise_invariant_to_batch(mode):
     masks = np.stack([cdp.masks_from_seed(i % 3, j, h, h).masks for i in range(n)])
 
     def dx(s):
-        _, tape = net_forward(ys[s], masks[s], net)
+        _, tape = net_forward(ys[s], masks[s], net, record=True)
         return net_backward_from_output(tape, dout[s])[1]
 
     whole = dx(slice(None))

@@ -52,7 +52,7 @@ def _tape(batch, mode="structured", h=32):
     y = SeededRng(2).uniform(batch * 4 * h * h).reshape(batch, 4, h, h)
     masks = np.stack([cdp.make_cdp_masks(SeededRng(20 + i), 4, h, h).masks
                       for i in range(batch)])
-    return network.net_forward(y, masks, net)[1]
+    return network.net_forward(y, masks, net, record=True)[1]
 
 
 @pytest.mark.parametrize("mode,h,bound", [
@@ -84,6 +84,31 @@ def test_operator_caches_keep_their_keys():
     c_sgd, _ = _tape(1, mode="dense", h=8).stage_caches[0]
     assert c_sgd["op"]["mode"] == "dense" and c_sgd["op"]["uf"].shape[-1] == 64
     assert c_sgd["adj"]["mode"] == "dense" and c_sgd["adj"]["zf"].shape[-1] == 64
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="needs the resource module")
+def test_unrecorded_forward_holds_no_tape():
+    # a desk-shaped 200-image forward: recorded, its tape is ~700 MB
+    def peak_growth(record):
+        proc = _run(
+            "import resource\n"
+            "import numpy as np\n"
+            "from unrollpr import cdp, network\n"
+            "from unrollpr.field import SeededRng\n"
+            "net = network.init_net(32, 32, num_stages=7, channels=8, num_masks=4,\n"
+            "                       mode='structured', rng=SeededRng(1))\n"
+            "y = SeededRng(2).uniform(200 * 4 * 1024).reshape(200, 4, 32, 32)\n"
+            "masks = np.stack([cdp.make_cdp_masks(SeededRng(20 + i % 10), 4, 32, 32).masks\n"
+            "                  for i in range(200)])\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "x, tape = network.net_forward(y, masks, net, record=" + repr(record) + ")\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n"
+        )
+        assert proc.returncode == 0, proc.stderr
+        return int(proc.stdout)
+
+    recorded = peak_growth(True)
+    assert peak_growth(False) < recorded / 4
 
 
 # ---------------------------------------------------------------------------
@@ -138,10 +163,10 @@ def test_repeated_forward_reuses_freed_memory():
         "y = SeededRng(2).uniform(10 * 4 * 1024).reshape(10, 4, 32, 32)\n"
         "masks = np.stack([cdp.make_cdp_masks(SeededRng(20 + i), 4, 32, 32).masks\n"
         "                  for i in range(10)])\n"
-        "x, tape = network.net_forward(y, masks, net)\n"
+        "x, tape = network.net_forward(y, masks, net, record=True)\n"
         "del x, tape\n"
         "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
-        "x, tape = network.net_forward(y, masks, net)\n"
+        "x, tape = network.net_forward(y, masks, net, record=True)\n"
         "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
     )
     assert proc.returncode == 0, proc.stderr

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from unrollpr import cdp
+from unrollpr import cdp, network
 from unrollpr.cdp import MaskSet, OperatorParams, make_cdp_masks, measure
 from unrollpr.field import SeededRng
 from unrollpr.network import (
@@ -381,3 +381,50 @@ def test_net_forward_rejects_mismatched_shapes():
         net_forward(np.zeros((2, 8, 8)), ms, net)  # J mismatch
     with pytest.raises(ValueError):
         net_forward(np.zeros((4, 4, 4)), ms, net)  # spatial mismatch
+
+
+LAYOUTS = [(mode, tie, share) for mode in ("fixed", "structured", "dense")
+           for tie in (False, True) for share in (False, True)]
+
+
+@pytest.mark.parametrize("j", [1, 4])
+@pytest.mark.parametrize("mode,tie,share", LAYOUTS)
+def test_unrecorded_forward_bitwise_invariant_to_batch(monkeypatch, mode, tie, share, j):
+    # the unrecorded forward runs 3-image blocks (7 images: 3 + 3 + 1); the
+    # recorded one runs the whole batch at once.  Dense J=4 runs each block's
+    # products as one GEMM over fewer rows, dense J=1 one gemv per image.
+    n, h, c = 7, 8, 2
+    monkeypatch.setattr(network, "_BLOCK_BYTES", 3 * h * h * (16 * j + 8 * c))
+    net = init_net(h, h, num_stages=2, channels=c, num_masks=j, mode=mode,
+                   tie_adjoint=tie, share_operator=share, rng=SeededRng(70))
+    prng = SeededRng(71)
+    for name, arr in net.tensors():
+        if ".op." in name:
+            noise = prng.normal(2 * arr.size)
+            arr += 0.02 * (noise[::2] + 1j * noise[1::2]).reshape(arr.shape)
+    ys = SeededRng(72).uniform(n * j * h * h).reshape(n, j, h, h)
+    masks = np.stack([cdp.masks_from_seed(i % 3, j, h, h).masks for i in range(n)])
+    recorded, tape = net_forward(ys, masks, net, record=True)
+    sizes = []
+    run = network._run_stages
+
+    def spy(x, *args):
+        sizes.append(len(x))
+        return run(x, *args)
+
+    monkeypatch.setattr(network, "_run_stages", spy)
+    blocked, free = net_forward(ys, masks, net)
+    assert sizes == [3, 3, 1]
+    assert len(tape.stage_caches) == 2 and free.stage_caches == []
+    assert free.output is blocked and np.array_equal(free.x0, tape.x0)
+    assert blocked.tobytes() == recorded.tobytes()
+    shared = MaskSet(masks[0])  # one mask set for the whole batch
+    assert (net_forward(ys, shared, net)[0].tobytes()
+            == net_forward(ys, shared, net, record=True)[0].tobytes())
+
+
+def test_net_forward_rejects_a_mask_batch_of_another_size():
+    net = init_net(8, 8, num_stages=1, channels=2, num_masks=2, rng=SeededRng(73))
+    masks = np.stack([make_cdp_masks(SeededRng(74 + i), 2, 8, 8).masks for i in range(3)])
+    with pytest.raises(ValueError, match="3 mask sets for 2 measurements"):
+        net_forward(np.ones((2, 2, 8, 8)), masks, net)

@@ -114,7 +114,7 @@ def test_backward_zero_gradient_at_exact_minimum():
     ms = cdp.make_cdp_masks(SeededRng(6), 4, 8, 8)
     truth = SeededRng(7).uniform(64).reshape(8, 8) + 0.1
     y = cdp.measure(truth, ms, 0.0, SeededRng(8))
-    out, tape = net_forward(y, ms, net, x0=truth)
+    out, tape = net_forward(y, ms, net, x0=truth, record=True)
     assert np.max(np.abs(out - truth)) <= 1e-11
     grads = backward(tape, truth)
     for name, g in grads.items():
@@ -123,7 +123,7 @@ def test_backward_zero_gradient_at_exact_minimum():
 
 def test_backward_directional_derivative():
     net, y, masks, truth = _generic_instance()
-    _, tape = net_forward(y, masks, net)
+    _, tape = net_forward(y, masks, net, record=True)
     grads = backward(tape, truth)
     drng = SeededRng(99)
     direction = {}
@@ -171,7 +171,7 @@ def test_backward_directional_derivative_every_layout(mode, tie, share):
         if ".op." in name:
             arr += (0.02 if mode == "dense" else 0.05) * _rand_complex(prng, arr.shape)
 
-    _, tape = net_forward(y, masks, net)
+    _, tape = net_forward(y, masks, net, record=True)
     grads = backward(tape, truth)
     drng = SeededRng(99)
     direction = {name: drng.normal(arr.view(np.float64).size) for name, arr in net.tensors()}
@@ -190,10 +190,18 @@ def test_backward_directional_derivative_every_layout(mode, tie, share):
     assert abs(fd - analytic) <= 1e-5 * max(abs(analytic), 1e-8)
 
 
-def test_backward_truth_shape_mismatch_rejected():
+def test_backward_needs_a_recorded_tape():
     net, y, masks, truth = _generic_instance()
     _, tape = net_forward(y, masks, net)
-    with pytest.raises(ValueError):
+    assert tape.stage_caches == []
+    with pytest.raises(ValueError, match="record=True"):
+        backward(tape, truth)
+
+
+def test_backward_truth_shape_mismatch_rejected():
+    net, y, masks, truth = _generic_instance()
+    _, tape = net_forward(y, masks, net, record=True)
+    with pytest.raises(ValueError, match="does not match"):
         backward(tape, np.zeros((4, 4)))
 
 
