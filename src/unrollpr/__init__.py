@@ -26,11 +26,7 @@ from .network import (
     StageParams,
     init_net,
     net_forward,
-    ppm_forward,
-    sgd_step,
     soft_threshold,
-    transform_forward,
-    transform_inverse,
 )
 from .training import (
     AdamState,
@@ -81,7 +77,6 @@ __all__ = [
     "SeededRng", "StageParams", "TrainConfig", "adam_update", "backward",
     "checkpoint_load", "checkpoint_save", "fft2_unitary", "ifft2_unitary",
     "init_net", "loss_mse", "lr_schedule", "make_cdp_masks", "masks_from_seed",
-    "measure", "net_forward", "operator_adjoint", "operator_apply",
-    "ppm_forward", "psnr", "sgd_step", "soft_threshold", "ssim", "train",
-    "transform_forward", "transform_inverse",
+    "measure", "net_forward", "operator_adjoint", "operator_apply", "psnr",
+    "soft_threshold", "ssim", "train",
 ]

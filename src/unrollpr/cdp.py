@@ -48,14 +48,6 @@ class MaskSet:
         """conj(masks), computed on first use and kept with the set."""
         return np.conj(self.masks)
 
-    @property
-    def num_masks(self):
-        return self.masks.shape[0]
-
-    @property
-    def shape(self):
-        return self.masks.shape[1:]
-
 
 @dataclass
 class MeasurementVector:
@@ -158,24 +150,11 @@ class OperatorParams:
 
     @staticmethod
     def initial(mode, h, w, tie_adjoint=False):
-        """The operator of ``mode`` at its initial value (stored tensors only)."""
+        """The operator of ``mode`` at its initial value (stored tensors only):
+        identity gains, equal to the fixed operator, or the DFT matrix."""
         names = [name for name, _, _ in operator_layout(mode, h, w, tie_adjoint)]
         init = _TRANSFORMS[mode][2](h, w) if names else ()
         return OperatorParams(mode=mode, tie_adjoint=tie_adjoint, **dict(zip(names, init)))
-
-    @staticmethod
-    def fixed():
-        return OperatorParams(mode="fixed")
-
-    @staticmethod
-    def structured(h, w, tie_adjoint=False):
-        """Identity gains: starts out exactly equal to the fixed operator."""
-        return OperatorParams.initial("structured", h, w, tie_adjoint)
-
-    @staticmethod
-    def dense(h, w, tie_adjoint=False):
-        """Full-matrix transform seeded at the DFT matrix."""
-        return OperatorParams.initial("dense", h, w, tie_adjoint)
 
     def _tensor(self, adjoint):
         """The forward or the effective adjoint gain / matrix; None in fixed mode."""

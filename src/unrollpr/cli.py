@@ -118,17 +118,12 @@ def cmd_eval(args):
     dataset = datakit.build_dataset(manifest, base_dir=args.data)
     images, ys, masks = datakit.stack_dataset(dataset)
     x = images if args.bypass else training.forward_chunked(net, ys, masks)
-    rows = []
-    for i, rec in enumerate(manifest.records):
-        rows.append((
-            rec.image or ("synth-%d" % i), rec.alpha,
-            metrics.psnr(x[i], images[i]), metrics.ssim(x[i], images[i]),
-        ))
+    ps, ss = metrics.scores(x, images)
+    rows = [(rec.image or ("synth-%d" % i), rec.alpha, p, s)
+            for i, (rec, p, s) in enumerate(zip(manifest.records, ps, ss))]
     for name, alpha, p, s in rows:
         print("%s alpha=%g psnr=%s ssim=%s" % (name, alpha, _fmt(p), _fmt(s)))
-    mean_p = float(np.mean([r[2] for r in rows]))
-    mean_s = float(np.mean([r[3] for r in rows]))
-    print("mean psnr=%s ssim=%s" % (_fmt(mean_p), _fmt(mean_s)))
+    print("mean psnr=%s ssim=%s" % (_fmt(float(np.mean(ps))), _fmt(float(np.mean(ss)))))
     if args.csv:
         lines = ["name,alpha,psnr,ssim"]
         for name, alpha, p, s in rows:

@@ -281,6 +281,8 @@ def read_manifest(path):
             head[key] = _parse_int(value, key, line_no, _HEAD_CAPS[key])
             if key == "version" and head[key] != MANIFEST_VERSION:
                 raise UnsupportedVersionError("manifest version %d unsupported" % head[key])
+            if key == "count" and head[key] < 0:
+                raise FormatError("count %d is negative (line %d)" % (head[key], line_no))
         else:
             raise FormatError("unknown key %r (line %d)" % (key, line_no))
     for need in _HEAD_CAPS:

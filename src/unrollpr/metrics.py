@@ -78,3 +78,9 @@ def ssim(x, ref):
     num = (2.0 * mu_x * mu_y + c1) * (2.0 * cov + c2)
     den = (mu_x ** 2 + mu_y ** 2 + c1) * (var_x + var_y + c2)
     return float(np.mean(num / den))
+
+
+def scores(xs, refs):
+    """Per-image (PSNR list, SSIM list) of two equally long image stacks."""
+    pairs = list(zip(xs, refs, strict=True))
+    return [psnr(x, ref) for x, ref in pairs], [ssim(x, ref) for x, ref in pairs]

@@ -13,10 +13,13 @@ threshold positive while training it unconstrained.  The step size,
 threshold, both transforms and the measurement operator pair are all
 per-stage parameters, untied across stages unless asked otherwise.
 
-Each block is a (forward, vjp) pair sharing a cache.  ``net_forward(...,
-record=True)`` records a per-stage tape that the training module walks
-backwards; without ``record`` (inference) no cache outlives its stage, and
-the stages run over blocks of images small enough to stay in cache.
+Each stage block is a (forward, vjp) pair sharing a cache: ``sgd_step_fwd``
+/ ``sgd_step_bwd`` and ``ppm_fwd`` / ``ppm_bwd``, batched over (B, h, w)
+images.  ``net_forward(..., record=True)`` records a per-stage tape that the
+training module walks backwards; without ``record`` (inference) no cache
+outlives its stage, and the stages run over blocks of :func:`block_size`
+images, small enough to stay in cache.  That block is also the task that
+``training.forward_chunked`` hands to each process.
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -38,11 +41,7 @@ STEP_SIZE_INIT = 0.01
 _REAL = np.dtype(np.float64)
 _STACK = ("w1", "b1", "w2", "b2")  # ConvStack field order
 
-# an unrecorded forward runs every stage on one block of images before the
-# next, so the stages' arrays stay in cache.  A block holds as many images as
-# fit in this many bytes at h*w*(16J + 8c) bytes an image, J complex fields
-# and c real feature maps per pixel: 12 images at 32x32, J=4, c=8.  Batch
-# invariance keeps each block's output bitwise equal to a whole-batch pass.
+# bytes of one block's stage arrays, small enough to stay in cache
 _BLOCK_BYTES = 3 << 19
 
 
@@ -197,15 +196,6 @@ def init_net(h, w, num_stages=7, channels=32, num_masks=4, mode="structured",
 # ---------------------------------------------------------------------------
 # shape plumbing
 
-def _batched_image(x):
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 2:
-        return x[None], True
-    if x.ndim == 3:
-        return x, False
-    raise ValueError("expected (h, w) or (batch, h, w), got shape %r" % (x.shape,))
-
-
 def _batched_meas(y):
     vals = np.asarray(getattr(y, "values", y), dtype=np.float64)
     if vals.ndim == 3:
@@ -266,14 +256,6 @@ def sgd_step_bwd(dr, cache):
     return dx, grads
 
 
-def sgd_step(x, stage, y, masks):
-    """Public single-call form; accepts unbatched (h, w) images."""
-    xb, squeeze = _batched_image(x)
-    yb, _ = _batched_meas(y)
-    r, _ = sgd_step_fwd(xb, stage, yb, masks)
-    return r[0] if squeeze else r
-
-
 # ---------------------------------------------------------------------------
 # learned transforms and the proximal projection
 
@@ -292,33 +274,6 @@ def _stack_bwd(dz2, cache):
     np.multiply(dc1, rows(k2[0]) > 0, out=dc1)  # relu(c) > 0 exactly where c > 0
     dx4, dw1, db1 = conv2d_bwd(da1, k1)
     return dx4, {"w1": dw1, "b1": db1, "w2": dw2, "b2": db2}
-
-
-def transform_forward(r, stack):
-    """Image (h, w) or (B, h, w) -> features (B, c, h, w) via conv/ReLU/conv."""
-    rb, squeeze = _batched_image(r)
-    if stack.w1.shape[1] != 1:
-        raise ValueError(
-            "analysis stack expects 1 input channel, got %d" % stack.w1.shape[1]
-        )
-    z, _ = _stack_fwd(rb[:, None], stack)
-    return z[0] if squeeze else z
-
-
-def transform_inverse(code, stack):
-    """Features (B, c, h, w) -> image, symmetric conv/ReLU/conv path."""
-    code = np.asarray(code, dtype=np.float64)
-    squeeze = code.ndim == 3
-    cb = code[None] if squeeze else code
-    if stack.w1.shape[1] != cb.shape[1]:
-        raise ValueError(
-            "synthesis stack expects %d channels, got %d"
-            % (stack.w1.shape[1], cb.shape[1])
-        )
-    x, _ = _stack_fwd(cb, stack)
-    if x.shape[1] != 1:
-        raise ValueError("synthesis stack must end in one channel")
-    return x[0, 0] if squeeze else x[:, 0]
 
 
 def ppm_fwd(r, stage):
@@ -359,15 +314,22 @@ def ppm_bwd(dx, cache):
     return dr, grads
 
 
-def ppm_forward(r, stage):
-    """Public single-call form; accepts unbatched (h, w) images."""
-    rb, squeeze = _batched_image(r)
-    x, _ = ppm_fwd(rb, stage)
-    return x[0] if squeeze else x
-
-
 # ---------------------------------------------------------------------------
 # full unrolled forward
+
+def block_size(params):
+    """Images per block of an unrecorded forward, the unit of every eval.
+
+    An unrecorded forward runs every stage on one block of images before the
+    next, so the stages' arrays stay in cache.  A block holds as many images
+    as fit in ``_BLOCK_BYTES`` at h*w*(16J + 8c) bytes an image, J complex
+    fields and c real feature maps per pixel: 12 images at 32x32, J=4, c=8.
+    Batch invariance keeps each block's output bitwise equal to a
+    whole-batch pass.
+    """
+    image_bytes = params.height * params.width * (16 * params.num_masks + 8 * params.channels)
+    return max(1, _BLOCK_BYTES // image_bytes)
+
 
 @dataclass
 class ForwardTape:
@@ -399,7 +361,7 @@ def net_forward(y, masks, params, x0=None, *, record=False):
     x0 defaults to the all-ones image.  ``record`` keeps every stage's
     caches on the tape, as :func:`net_backward_from_output` needs.  Without
     it the tape holds only x0 and the output, and the stages run over blocks
-    of images (``_BLOCK_BYTES``) written into one output array.
+    of :func:`block_size` images written into one output array.
     """
     yb, squeezed = _batched_meas(y)
     b = yb.shape[0]
@@ -417,8 +379,8 @@ def net_forward(y, masks, params, x0=None, *, record=False):
     if x0 is None:
         xb = np.ones((b, h, w))
     else:
-        xb, _ = _batched_image(x0)
-        if xb.shape[0] == 1 and b > 1:
+        xb = np.asarray(x0, dtype=np.float64)
+        if xb.shape in ((h, w), (1, h, w)):
             xb = np.broadcast_to(xb, (b, h, w)).copy()
         if xb.shape != (b, h, w):
             raise ValueError("x0 shape %r does not match batch" % (xb.shape,))
@@ -428,7 +390,7 @@ def net_forward(y, masks, params, x0=None, *, record=False):
     else:
         x = np.empty((b, h, w))
         per_image = ms.masks.shape[:-3] == (b,)
-        n = max(1, _BLOCK_BYTES // (h * w * (16 * params.num_masks + 8 * params.channels)))
+        n = block_size(params)
         for i in range(0, b, n):
             s = slice(i, i + n)
             block_ms = cdp.as_mask_set(ms.masks[s]) if per_image else ms

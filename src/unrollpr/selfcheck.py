@@ -34,7 +34,7 @@ def check_fft_roundtrip(seeds=20):
 
 def check_adjoint_identity(seeds=100, fault=None):
     worst = 0.0
-    params = cdp.OperatorParams.fixed()
+    params = cdp.OperatorParams(mode="fixed")
     for s in range(seeds):
         rng = SeededRng(1000 + s)
         masks = cdp.make_cdp_masks(SeededRng(2000 + s), 4, 8, 8)
@@ -53,19 +53,17 @@ def check_adjoint_identity(seeds=100, fault=None):
 
 def check_parseval(seeds=100):
     worst = 0.0
-    params = cdp.OperatorParams.fixed()
+    params = cdp.OperatorParams(mode="fixed")
     for s in range(seeds):
         rng = SeededRng(3000 + s)
         masks = cdp.make_cdp_masks(SeededRng(4000 + s), 4, 8, 8)
         x = _rand_complex(rng, (8, 8))
         nx2 = np.linalg.norm(x) ** 2
         wx = cdp.operator_apply(x, masks, params)
-        for j in range(masks.num_masks):
-            errj = abs(np.linalg.norm(wx[j]) ** 2 - nx2) / nx2
-            worst = max(worst, errj)
-        err = abs(np.linalg.norm(wx) ** 2 - masks.num_masks * nx2) / (
-            masks.num_masks * nx2
-        )
+        j = len(masks.masks)
+        for wj in wx:
+            worst = max(worst, abs(np.linalg.norm(wj) ** 2 - nx2) / nx2)
+        err = abs(np.linalg.norm(wx) ** 2 - j * nx2) / (j * nx2)
         worst = max(worst, err)
     return "parseval-energy", worst, 1e-12, worst <= 1e-12
 

@@ -44,10 +44,6 @@ ADAM_EPS = 1e-8
 LR_DECAY = 0.95
 LR_DECAY_EVERY = 2
 
-# images per task when scoring a whole set, the unit that ``threads``
-# spreads over processes; batch invariance keeps the outputs bit-identical
-EVAL_CHUNK = 20
-
 CKPT_MAGIC = b"DLMM"
 CKPT_VERSION = 2
 _TRAILER_SIZE = {1: 8, 2: 32}  # readable versions -> digest bytes
@@ -368,20 +364,15 @@ def _reconstruct(net, ys, masks):
 
 
 def forward_chunked(net, ys, masks, threads=1):
-    """Reconstruct a stacked set, EVAL_CHUNK images per forward call,
-    ``threads`` calls at a time."""
+    """Reconstruct a stacked set, one forward task per block of
+    ``network.block_size`` images, ``threads`` tasks at a time.
+
+    Batch invariance keeps the output bit-identical to one whole-set call.
+    """
+    n = network.block_size(net)
     return np.concatenate(_map(_reconstruct, [
-        (net, ys[i:i + EVAL_CHUNK], masks[i:i + EVAL_CHUNK])
-        for i in range(0, len(ys), EVAL_CHUNK)
+        (net, ys[i:i + n], masks[i:i + n]) for i in range(0, len(ys), n)
     ], threads))
-
-
-def _val_metrics(net, val_pack, threads=1):
-    images, ys, masks = val_pack
-    x = forward_chunked(net, ys, masks, threads)
-    ps = [metrics.psnr(x[i], images[i]) for i in range(len(images))]
-    ss = [metrics.ssim(x[i], images[i]) for i in range(len(images))]
-    return float(np.mean(ps)), float(np.mean(ss))
 
 
 def _csv_num(x):
@@ -421,6 +412,11 @@ def train_full(dataset, config, net=None, val_dataset=None, log_path=None):
             share_operator=config.share_operator,
             rng=derive_rng(config.seed, STREAM_INIT),
         )
+    # validation runs this net: a set it cannot take fails before any epoch runs
+    if val_pack and val_pack[1].shape[1:] != (net.num_masks, net.height, net.width):
+        raise ValueError(
+            "validation measurements are (J, h, w) = %r, the network takes (%d, %d, %d)"
+            % (val_pack[1].shape[1:], net.num_masks, net.height, net.width))
     state = init_adam(net)
     shuffle_rng = derive_rng(config.seed, STREAM_SHUFFLE)
     history = []
@@ -444,7 +440,11 @@ def train_full(dataset, config, net=None, val_dataset=None, log_path=None):
                 adam_update(net, grads, state, lr)
         epoch_loss = sq_sum / ns
         history.append(epoch_loss)
-        vp, vs = _val_metrics(net, val_pack, config.threads) if val_pack else ("", "")
+        vp = vs = ""
+        if val_pack:
+            x = forward_chunked(net, val_pack[1], val_pack[2], config.threads)
+            ps, ss = metrics.scores(x, val_pack[0])
+            vp, vs = float(np.mean(ps)), float(np.mean(ss))
         seconds = time.perf_counter() - t0
         rows.append((epoch + 1, lr, epoch_loss, vp, vs, seconds))
     if log_path is not None:

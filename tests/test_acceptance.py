@@ -48,7 +48,7 @@ def _rand_complex(rng, n):
 # 1. adjoint identity
 
 def test_criterion_01_adjoint_identity():
-    par = cdp.OperatorParams.fixed()
+    par = cdp.OperatorParams(mode="fixed")
     worst = 0.0
     t0 = time.perf_counter()
     for seed in range(100):
@@ -82,7 +82,7 @@ def test_criterion_02_isometry():
         for j in range(4):
             nj = np.linalg.norm(fft2_unitary(masks.masks[j] * x))
             worst_ch = max(worst_ch, abs(nj - nx) / nx)
-        z = cdp.operator_apply(x, masks, cdp.OperatorParams.fixed())
+        z = cdp.operator_apply(x, masks, cdp.OperatorParams(mode="fixed"))
         e = np.linalg.norm(z) ** 2
         worst_tot = max(worst_tot, abs(e - 4.0 * nx ** 2) / (4.0 * nx ** 2))
     wall = time.perf_counter() - t0

@@ -77,7 +77,7 @@ def test_fixed_apply_reduces_to_fft():
     mask = MaskSet(masks=np.ones((1, 2, 2), dtype=np.complex128))
     x = np.zeros((2, 2))
     x[0, 0] = 1.0
-    z = operator_apply(x, mask, OperatorParams.fixed())
+    z = operator_apply(x, mask, OperatorParams(mode="fixed"))
     assert z.shape == (1, 2, 2)
     assert np.allclose(z, 0.5, atol=1e-15)
 
@@ -85,16 +85,16 @@ def test_fixed_apply_reduces_to_fft():
 def test_structured_identity_gain_matches_fixed():
     ms = make_cdp_masks(SeededRng(5), 4, 8, 8)
     x = _rand_complex(SeededRng(6), (8, 8))
-    zf = operator_apply(x, ms, OperatorParams.fixed())
-    zs = operator_apply(x, ms, OperatorParams.structured(8, 8))
+    zf = operator_apply(x, ms, OperatorParams(mode="fixed"))
+    zs = operator_apply(x, ms, OperatorParams.initial("structured", 8, 8))
     assert np.allclose(zf, zs, atol=1e-14)
 
 
 def test_dense_init_matches_fixed_and_matrix_oracle():
     ms = make_cdp_masks(SeededRng(8), 2, 4, 4)
     x = _rand_complex(SeededRng(9), (4, 4))
-    zf = operator_apply(x, ms, OperatorParams.fixed())
-    zd = operator_apply(x, ms, OperatorParams.dense(4, 4))
+    zf = operator_apply(x, ms, OperatorParams(mode="fixed"))
+    zd = operator_apply(x, ms, OperatorParams.initial("dense", 4, 4))
     assert np.max(np.abs(zf - zd)) <= 1e-12
     # explicit matrix-multiplication oracle, brute-force DFT matrix
     f2 = _brute_dft2(4, 4)
@@ -107,7 +107,7 @@ def _dense_case(b, j, h):
     x = SeededRng(10).normal(b * h * h).reshape(b, h, h)
     z = _rand_complex(SeededRng(11), (b, j, h, h))
     masks = np.stack([masks_from_seed(i, j, h, h).masks for i in range(b)])
-    p = OperatorParams.dense(h, h)
+    p = OperatorParams.initial("dense", h, h)
     p.mat = p.mat + 0.1 * _rand_complex(SeededRng(12), p.mat.shape)
     return x, z, masks, p
 
@@ -148,7 +148,7 @@ def test_dft_matrix_is_unitary_and_matches_brute_force():
 
 
 def test_adjoint_identity_fixed_mode():
-    p = OperatorParams.fixed()
+    p = OperatorParams(mode="fixed")
     for s in range(10):
         rng = SeededRng(100 + s)
         ms = make_cdp_masks(SeededRng(200 + s), 4, 8, 8)
@@ -161,20 +161,20 @@ def test_adjoint_identity_fixed_mode():
 
 def test_adjoint_zeros_give_zeros():
     ms = make_cdp_masks(SeededRng(4), 4, 8, 8)
-    out = operator_adjoint(np.zeros((4, 8, 8), dtype=np.complex128), ms, OperatorParams.fixed())
+    out = operator_adjoint(np.zeros((4, 8, 8), dtype=np.complex128), ms, OperatorParams(mode="fixed"))
     assert np.all(out == 0)
 
 
 def test_single_ones_mask_gives_identity_composition():
     mask = MaskSet(masks=np.ones((1, 8, 8), dtype=np.complex128))
-    p = OperatorParams.fixed()
+    p = OperatorParams(mode="fixed")
     x = _rand_complex(SeededRng(12), (8, 8))
     back = operator_adjoint(operator_apply(x, mask, p), mask, p)
     assert np.linalg.norm(back - x) <= 1e-12 * np.linalg.norm(x)
 
 
 def test_per_channel_isometry_and_energy():
-    p = OperatorParams.fixed()
+    p = OperatorParams(mode="fixed")
     for s in range(10):
         ms = make_cdp_masks(SeededRng(300 + s), 4, 8, 8)
         x = _rand_complex(SeededRng(400 + s), (8, 8))
@@ -187,7 +187,7 @@ def test_per_channel_isometry_and_energy():
 
 def test_dense_guard_rejects_large_fields():
     with pytest.raises(ValueError):
-        OperatorParams.dense(128, 64)  # N = 8192 > 4096
+        OperatorParams.initial("dense", 128, 64)  # N = 8192 > 4096
 
 
 def test_unknown_mode_rejected():
@@ -200,7 +200,7 @@ def test_measure_zero_noise_is_exact_magnitude():
     ms = make_cdp_masks(SeededRng(21), 4, 8, 8)
     x = SeededRng(22).uniform(64).reshape(8, 8)
     mv = measure(x, ms, 0.0, SeededRng(23))
-    z = operator_apply(x, ms, OperatorParams.fixed())
+    z = operator_apply(x, ms, OperatorParams(mode="fixed"))
     assert np.array_equal(mv.values, np.abs(z))
     assert mv.alpha == 0.0
 
@@ -263,7 +263,7 @@ def test_apply_vjp_matches_finite_differences():
     # scalar probe: d/dt Re(sum(conj(c) * W(x + t*e))) at t=0 equals
     # Re(sum(conj(dx) * e)) with dx from the vjp seeded by c
     ms = make_cdp_masks(SeededRng(71), 2, 4, 4)
-    p = OperatorParams.structured(4, 4)
+    p = OperatorParams.initial("structured", 4, 4)
     p.gain += 0.1 * _rand_complex(SeededRng(72), (4, 4))
     x = _rand_complex(SeededRng(73), (4, 4))
     c = _rand_complex(SeededRng(74), (2, 4, 4))

@@ -1,11 +1,14 @@
 """Command-line behavior: flows, output contracts, exit codes."""
 
+import pathlib
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import unrollpr
 from unrollpr import datakit, network, training
 from unrollpr.cli import main
 from unrollpr.field import STREAM_INIT, derive_rng
@@ -109,6 +112,7 @@ def test_gen_data_rejects_non_finite_noise_levels(tmp_path, capsys, alphas):
 
 @pytest.mark.parametrize("key,value", [
     ("height", "65536"), ("width", "8192"), ("height", "12"), ("masks", "65"), ("masks", "0"),
+    ("count", "-3"),
 ])
 def test_train_rejects_manifest_sizes_beyond_the_cap(tmp_path, capsys, monkeypatch,
                                                      key, value):
@@ -506,6 +510,19 @@ def test_module_entry_point_selfcheck_quick():
     assert "selfcheck passed" in proc.stdout
 
 
+def test_public_names_resolve_and_the_readme_import_runs():
+    star = {}
+    exec("from unrollpr import *", star)  # AttributeError on a stale __all__ entry
+    assert set(unrollpr.__all__) <= set(star)
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    example = readme.split("## Library", 1)[1]
+    line = re.search(r"^from unrollpr import \([^)]*\)", example, re.M).group(0)
+    names = {}
+    exec(line, names)
+    documented = re.findall(r"\w+", line.split("(", 1)[1])
+    assert documented and set(documented) <= set(names) & set(unrollpr.__all__)
+
+
 def _record_forward_sizes(monkeypatch):
     sizes = []
     real = network.net_forward
@@ -519,7 +536,9 @@ def _record_forward_sizes(monkeypatch):
 
 
 def test_eval_runs_in_bounded_chunks_with_whole_set_output(tmp_path, capsys, monkeypatch):
-    n = 2 * training.EVAL_CHUNK + 3
+    block, n = 5, 13
+    image_bytes = 16 * 16 * (16 * 4 + 8 * 1)  # 16x16, J=4, c=1
+    monkeypatch.setattr(network, "_BLOCK_BYTES", block * image_bytes)
     data = _gen(tmp_path, count=n, size="16x16", seed=16)
     ckpt = _train(tmp_path, data, epochs=0)
     sizes = _record_forward_sizes(monkeypatch)
@@ -527,9 +546,9 @@ def test_eval_runs_in_bounded_chunks_with_whole_set_output(tmp_path, capsys, mon
     assert main(["eval", "--ckpt", str(ckpt), "--data", str(data),
                  "--csv", str(tmp_path / "chunked.csv")]) == 0
     chunked = capsys.readouterr().out
-    assert sizes == [training.EVAL_CHUNK, training.EVAL_CHUNK, 3]
+    assert sizes == [block, block, 3]
     sizes.clear()
-    monkeypatch.setattr(training, "EVAL_CHUNK", n)
+    monkeypatch.setattr(network, "_BLOCK_BYTES", n * image_bytes)
     assert main(["eval", "--ckpt", str(ckpt), "--data", str(data),
                  "--csv", str(tmp_path / "whole.csv")]) == 0
     assert sizes == [n]

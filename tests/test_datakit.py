@@ -272,6 +272,13 @@ def test_manifest_dataset_size_bound(tmp_path, count, masks, size, ok):
             read_manifest(str(p))
 
 
+def test_manifest_negative_count_rejected(tmp_path):
+    p = tmp_path / "m.txt"
+    _sized_manifest(p, -3, 4, 16)  # no sample records: not an empty set
+    with pytest.raises(FormatError, match=r"count -3 is negative \(line 4\)"):
+        read_manifest(str(p))
+
+
 def test_manifest_error_names_line_number(tmp_path):
     p = tmp_path / "m.txt"
     write_manifest(_sample_manifest(), str(p))

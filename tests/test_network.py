@@ -12,14 +12,11 @@ from unrollpr.network import (
     StageParams,
     init_net,
     net_forward,
-    ppm_forward,
-    sgd_step,
+    ppm_fwd,
     sgd_step_bwd,
     sgd_step_fwd,
     soft_threshold,
     softplus,
-    transform_forward,
-    transform_inverse,
 )
 
 
@@ -88,32 +85,32 @@ def test_sgd_step_scalar_case():
     mask = MaskSet(masks=np.ones((1, 1, 1), dtype=np.complex128))
     stage = StageParams(
         step_size=np.array(0.5), thresh_raw=np.array(0.0),
-        op=OperatorParams.dense(1, 1),
+        op=OperatorParams.initial("dense", 1, 1),
         ana=ConvStack(*(np.zeros(s) for s in ((1, 1, 3, 3), 1, (1, 1, 3, 3), 1))),
         syn=ConvStack(*(np.zeros(s) for s in ((1, 1, 3, 3), 1, (1, 1, 3, 3), 1))),
     )
-    x = np.array([[2.0]])
-    y = np.array([[[1.0]]])
-    r = sgd_step(x, stage, y, mask)
-    assert abs(r[0, 0] - 1.5) <= 1e-15
+    x = np.array([[[2.0]]])
+    y = np.array([[[[1.0]]]])
+    r, _ = sgd_step_fwd(x, stage, y, mask)
+    assert abs(r[0, 0, 0] - 1.5) <= 1e-15
 
 
 def test_sgd_step_consistent_point_is_fixed():
     ms = make_cdp_masks(SeededRng(10), 4, 8, 8)
-    x = SeededRng(11).uniform(64).reshape(8, 8) + 0.1
-    y = measure(x, ms, 0.0, SeededRng(12))
+    x = SeededRng(11).uniform(64).reshape(1, 8, 8) + 0.1
+    y = measure(x[0], ms, 0.0, SeededRng(12))
     for t in (0.01, 0.5, 2.0):
         st = _zero_stage(8, 8, step=t)
-        r = sgd_step(x, st, y.values, ms)
+        r, _ = sgd_step_fwd(x, st, y.values[None], ms)
         assert np.max(np.abs(r - x)) <= 1e-12
 
 
 def test_sgd_step_zero_step_is_identity():
     ms = make_cdp_masks(SeededRng(13), 4, 8, 8)
-    x = SeededRng(14).uniform(64).reshape(8, 8)
-    y = measure(x, ms, 27.0, SeededRng(15))
+    x = SeededRng(14).uniform(64).reshape(1, 8, 8)
+    y = measure(x[0], ms, 27.0, SeededRng(15))
     st = _zero_stage(8, 8, step=0.0)
-    assert np.array_equal(sgd_step(x, st, y.values, ms), x)
+    assert np.array_equal(sgd_step_fwd(x, st, y.values[None], ms)[0], x)
 
 
 def _phase_pullback_oracle(dresid, z, y):
@@ -191,8 +188,8 @@ def _conv_brute(x, w, b):
 
 def test_transform_forward_zero_weights():
     st = _zero_stage(4, 4)
-    out = transform_forward(np.ones((4, 4)), st.ana)
-    assert out.shape == (2, 4, 4)
+    out, _ = network._stack_fwd(np.ones((1, 1, 4, 4)), st.ana)
+    assert out.shape == (1, 2, 4, 4)
     assert np.all(out == 0)
 
 
@@ -204,9 +201,9 @@ def test_transform_forward_identity_kernel():
     )
     stack.w1[0, 0, 1, 1] = 1.0
     stack.w2[0, 0, 1, 1] = 1.0
-    r = SeededRng(20).uniform(16).reshape(4, 4)  # nonnegative
-    out = transform_forward(r, stack)
-    assert np.allclose(out[0], r, atol=1e-15)
+    r = SeededRng(20).uniform(16).reshape(1, 1, 4, 4)  # nonnegative
+    out, _ = network._stack_fwd(r, stack)
+    assert np.allclose(out, r, atol=1e-15)
 
 
 def test_transform_forward_matches_brute_force():
@@ -215,17 +212,17 @@ def test_transform_forward_matches_brute_force():
         w1=rng.normal(2 * 1 * 9).reshape(2, 1, 3, 3), b1=rng.normal(2),
         w2=rng.normal(2 * 2 * 9).reshape(2, 2, 3, 3), b2=rng.normal(2),
     )
-    r = rng.uniform(16).reshape(4, 4)
-    out = transform_forward(r, stack)
-    mid = np.maximum(_conv_brute(r[None], stack.w1, stack.b1), 0.0)
+    r = rng.uniform(16).reshape(1, 4, 4)
+    out, _ = network._stack_fwd(r[None], stack)
+    mid = np.maximum(_conv_brute(r, stack.w1, stack.b1), 0.0)
     ref = _conv_brute(mid, stack.w2, stack.b2)
-    assert np.max(np.abs(out - ref)) <= 1e-12
+    assert np.max(np.abs(out[0] - ref)) <= 1e-12
 
 
 def test_transform_inverse_zero_weights():
     st = _zero_stage(4, 4)
-    out = transform_inverse(np.ones((2, 4, 4)), st.syn)
-    assert out.shape == (4, 4)
+    out, _ = network._stack_fwd(np.ones((1, 2, 4, 4)), st.syn)
+    assert out.shape == (1, 1, 4, 4)
     assert np.all(out == 0)
 
 
@@ -235,7 +232,7 @@ def test_transform_inverse_zero_input_zero_bias():
         w1=rng.normal(2 * 2 * 9).reshape(2, 2, 3, 3), b1=np.zeros(2),
         w2=rng.normal(1 * 2 * 9).reshape(1, 2, 3, 3), b2=np.zeros(1),
     )
-    out = transform_inverse(np.zeros((2, 4, 4)), stack)
+    out, _ = network._stack_fwd(np.zeros((1, 2, 4, 4)), stack)
     assert np.all(out == 0)
 
 
@@ -246,18 +243,18 @@ def test_transform_inverse_matches_brute_force():
         w2=rng.normal(1 * 2 * 9).reshape(1, 2, 3, 3), b2=rng.normal(1),
     )
     code = rng.normal(2 * 16).reshape(2, 4, 4)
-    out = transform_inverse(code, stack)
+    out, _ = network._stack_fwd(code[None], stack)
     mid = np.maximum(_conv_brute(code, stack.w1, stack.b1), 0.0)
-    ref = _conv_brute(mid, stack.w2, stack.b2)[0]
-    assert np.max(np.abs(out - ref)) <= 1e-12
+    ref = _conv_brute(mid, stack.w2, stack.b2)
+    assert np.max(np.abs(out[0] - ref)) <= 1e-12
 
 
 def test_transform_channel_mismatch_rejected():
     st = _zero_stage(4, 4)
     with pytest.raises(ValueError):
-        transform_forward(np.ones((4, 4)), st.syn)  # syn expects c channels
+        network._stack_fwd(np.ones((1, 1, 4, 4)), st.syn)  # syn expects c channels
     with pytest.raises(ValueError):
-        transform_inverse(np.ones((3, 4, 4)), st.syn)  # stack built for c=2
+        network._stack_fwd(np.ones((1, 3, 4, 4)), st.syn)  # stack built for c=2
 
 
 # ---------------------------------------------------------------------------
@@ -265,8 +262,8 @@ def test_transform_channel_mismatch_rejected():
 
 def test_ppm_zero_weights_is_identity():
     st = _zero_stage(8, 8)
-    r = SeededRng(30).uniform(64).reshape(8, 8)
-    assert np.array_equal(ppm_forward(r, st), r)
+    r = SeededRng(30).uniform(64).reshape(1, 8, 8)
+    assert np.array_equal(ppm_fwd(r, st)[0], r)
 
 
 def test_ppm_saturated_threshold_is_identity():
@@ -274,8 +271,8 @@ def test_ppm_saturated_threshold_is_identity():
                    mode="fixed", rng=SeededRng(31))
     st = net.stages[0]
     st.thresh_raw[...] = 1000.0  # tau so large every feature is shrunk away
-    r = SeededRng(32).uniform(64).reshape(8, 8)
-    assert np.allclose(ppm_forward(r, st), r, atol=1e-15)
+    r = SeededRng(32).uniform(64).reshape(1, 8, 8)
+    assert np.allclose(ppm_fwd(r, st)[0], r, atol=1e-15)
 
 
 def test_ppm_matches_hand_composition():
@@ -285,12 +282,12 @@ def test_ppm_matches_hand_composition():
     st.thresh_raw[...] = np.log(np.expm1(0.1))  # tau = 0.1
     st.ana.b1[...] = 0.05
     st.syn.b1[...] = -0.02
-    r = np.array([[0.3, 0.8], [0.1, 0.6]])
+    r = np.array([[[0.3, 0.8], [0.1, 0.6]]])
     tau = float(softplus(st.thresh_raw))
-    expected = r + transform_inverse(
-        soft_threshold(transform_forward(r, st.ana), tau), st.syn
-    )
-    assert np.max(np.abs(ppm_forward(r, st) - expected)) <= 1e-14
+    code, _ = network._stack_fwd(r[:, None], st.ana)
+    out, _ = network._stack_fwd(soft_threshold(code, tau), st.syn)
+    expected = r + out[:, 0]
+    assert np.max(np.abs(ppm_fwd(r, st)[0] - expected)) <= 1e-14
     assert abs(tau - 0.1) <= 1e-12
 
 
@@ -308,10 +305,10 @@ def test_net_forward_zero_transforms_is_pure_descent():
     truth = SeededRng(42).uniform(64).reshape(8, 8)
     y = measure(truth, ms, 27.0, SeededRng(43))
     out, _ = net_forward(y, ms, net)
-    x = np.ones((8, 8))
+    x = np.ones((1, 8, 8))
     for st in net.stages:
-        x = sgd_step(x, st, y.values, ms)
-    assert np.max(np.abs(out - x)) <= 1e-13
+        x, _ = sgd_step_fwd(x, st, y.values[None], ms)
+    assert np.max(np.abs(out - x[0])) <= 1e-13
 
 
 def test_net_forward_consistent_start_is_fixed_point():

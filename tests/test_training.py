@@ -438,7 +438,7 @@ def test_train_fixed_mode_has_no_operator_tensors():
     ms = cdp.make_cdp_masks(SeededRng(41), 4, 8, 8)
     x = SeededRng(42).uniform(64).reshape(8, 8)
     za = cdp.operator_apply(x, ms, net.stages[0].op)
-    zb = cdp.operator_apply(x, ms, cdp.OperatorParams.fixed())
+    zb = cdp.operator_apply(x, ms, cdp.OperatorParams(mode="fixed"))
     assert np.array_equal(za, zb)
 
 
@@ -471,24 +471,39 @@ def test_train_with_validation_writes_metrics(tmp_path):
         assert -1.0 <= float(cells[4]) <= 1.0  # val ssim present
 
 
-def test_validation_scores_in_bounded_chunks(monkeypatch):
-    n = training.EVAL_CHUNK + 5
-    pack = datakit.stack_dataset(_toy_dataset(n, 16, 16, seed=62))
-    net = init_net(16, 16, num_stages=2, channels=2, num_masks=pack[1].shape[1],
-                   rng=SeededRng(63))
+def test_validation_scores_in_bounded_chunks(tmp_path, monkeypatch):
+    # validation forwards one block per call: 3 + 3 + 2 images, then one
+    # block of all 8; the scores in the log do not change
+    ds, dval = _toy_dataset(4, 16, 16, seed=62), _toy_dataset(8, 16, 16, seed=63)
+    j, c = dval[0][1].values.shape[0], 2
+    cfg = TrainConfig(epochs=1, batch_size=4, seed=3, num_stages=2, channels=c)
     sizes = []
     real = network.net_forward
 
-    def wrapped(y, masks, params, x0=None):
-        sizes.append(len(y))
-        return real(y, masks, params, x0)
+    def wrapped(y, masks, params, x0=None, record=False):
+        if not record:
+            sizes.append(len(y))
+        return real(y, masks, params, x0, record=record)
 
     monkeypatch.setattr(network, "net_forward", wrapped)
-    chunked = training._val_metrics(net, pack)
-    assert sizes == [training.EVAL_CHUNK, 5]
-    monkeypatch.setattr(training, "EVAL_CHUNK", n)
-    assert training._val_metrics(net, pack) == chunked
-    assert sizes[2:] == [n]
+    logs = []
+    for block in (3, 8):
+        monkeypatch.setattr(network, "_BLOCK_BYTES", block * 16 * 16 * (16 * j + 8 * c))
+        log = tmp_path / ("block%d.csv" % block)
+        train(ds, cfg, val_dataset=dval, log_path=str(log))
+        logs.append([row.rsplit(",", 1)[0] for row in log.read_text().splitlines()])
+    assert sizes == [3, 3, 2, 8]
+    assert logs[0] == logs[1] and logs[0][1].split(",")[3]
+
+
+def test_validation_shape_is_checked_before_the_first_step(monkeypatch):
+    def step(*args):
+        raise AssertionError("a training step ran before the validation shape check")
+
+    monkeypatch.setattr(training, "_chunk_grads", step)
+    cfg = TrainConfig(epochs=1, batch_size=2, seed=0, num_stages=1, channels=2)
+    with pytest.raises(ValueError, match=r"validation measurements .*\(4, 32, 32\)"):
+        train(_toy_dataset(2, 16, 16, seed=64), cfg, val_dataset=_toy_dataset(2, 32, 32, seed=65))
 
 
 def test_tied_adjoint_reduces_tensor_count():

@@ -11,7 +11,7 @@ import time
 import pytest
 
 import unrollpr
-from unrollpr import datakit, training
+from unrollpr import datakit, network, training
 from unrollpr.field import SeededRng
 from unrollpr.network import init_net
 from unrollpr.training import TrainConfig, train_full
@@ -26,8 +26,9 @@ pytestmark = pytest.mark.skipif(
 
 
 def _run(tmp_path, name, cfg, monkeypatch):
-    """train_full with validation in chunks of 2; (net, history, state, CSV rows)."""
-    monkeypatch.setattr(training, "EVAL_CHUNK", 2)
+    """train_full with validation in blocks of 2; (net, history, state, CSV rows)."""
+    j, c = 4, cfg.channels
+    monkeypatch.setattr(network, "_BLOCK_BYTES", 2 * 16 * 16 * (16 * j + 8 * c))
     log = tmp_path / (name + ".csv")
     net, history, state = train_full(
         _toy_dataset(12, 16, 16, 80), cfg, val_dataset=_toy_dataset(5, 16, 16, 81),
@@ -76,14 +77,14 @@ def test_one_thread_starts_no_worker(monkeypatch, worker_pool):
     assert training._WORKERS == []
 
 
-def test_parallel_validation_matches_serial_chunks(worker_pool):
-    n = 2 * training.EVAL_CHUNK + 5  # chunks: parent, worker, parent
-    pack = datakit.stack_dataset(_toy_dataset(n, 16, 16, 84))
-    net = init_net(16, 16, num_stages=2, channels=2, num_masks=pack[1].shape[1],
-                   rng=SeededRng(85))
+def test_parallel_validation_matches_serial_chunks(monkeypatch, worker_pool):
+    block = 5  # blocks: parent, worker, parent
+    pack = datakit.stack_dataset(_toy_dataset(2 * block + 3, 16, 16, 84))
+    j = pack[1].shape[1]
+    monkeypatch.setattr(network, "_BLOCK_BYTES", block * 16 * 16 * (16 * j + 8 * 2))
+    net = init_net(16, 16, num_stages=2, channels=2, num_masks=j, rng=SeededRng(85))
     serial = training.forward_chunked(net, pack[1], pack[2])
     assert training.forward_chunked(net, pack[1], pack[2], 2).tobytes() == serial.tobytes()
-    assert training._val_metrics(net, pack, 2) == training._val_metrics(net, pack)
     assert len(training._WORKERS) == 1
 
 
