@@ -22,6 +22,8 @@ images, small enough to stay in cache.  That block is also the task that
 ``training.forward_chunked`` hands to each process.
 """
 
+import math
+from collections import namedtuple
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 from operator import attrgetter
@@ -93,9 +95,44 @@ class StageParams:
     syn: ConvStack  # feature -> image synthesis transform
 
 
+# where a stored tensor lives: its name "stage<k>.<path>", its stage, the
+# attribute path there ("ana.w1", "op.gain"), and float64s [start, stop) of an
+# arena, complex entries as interleaved (real, imag) pairs
+Slot = namedtuple("Slot", "name stage path shape dtype start stop")
+
+
+class Arena(dict):
+    """Name -> tensor for every :class:`Slot` of ``slots``, each a view into
+    the one float64 array ``flat`` (zeros when not given).  An entry rebound
+    to another array has left ``flat``; :meth:`stale` names it.  An arena
+    pickles as one buffer."""
+
+    def __init__(self, slots, flat=None):
+        self.slots = slots
+        self.flat = np.zeros(slots[-1].stop) if flat is None else flat
+        self.views = tuple(np.ndarray(s.shape, s.dtype, self.flat, 8 * s.start) for s in slots)
+        super().__init__(zip((s.name for s in slots), self.views))
+
+    def __reduce__(self):
+        return Arena, (self.slots, self.flat)
+
+    def stale(self, tensors=None):
+        """Name of the first slot whose tensor in ``tensors`` (name -> array,
+        this arena by default) is not its view here, or None."""
+        tensors = self if tensors is None else tensors
+        for slot, view in zip(self.slots, self.views):
+            if tensors.get(slot.name) is not view:
+                return slot.name
+        return None
+
+
 @dataclass
 class NetParams:
-    """Full network: stage list plus the shape/mode contract."""
+    """Full network: stage list plus the shape/mode contract.
+
+    Every stored tensor is a view into ``arena.flat``, the one parameter
+    array: write into the tensors, do not rebind them.
+    """
 
     height: int
     width: int
@@ -105,33 +142,39 @@ class NetParams:
     tie_adjoint: bool = False
     share_operator: bool = False
     stages: list = dc_field(default_factory=list)
+    arena: Arena = dc_field(default=None, repr=False, compare=False)
 
     @property
     def num_stages(self):
         return len(self.stages)
 
+    def __reduce__(self):
+        """Pickles as the header fields and the one parameter array."""
+        return build_net, (self.height, self.width, self.num_stages, self.channels,
+                           self.num_masks, self.mode, self.tie_adjoint,
+                           self.share_operator, self.arena.flat)
+
     def tensors(self):
-        """Yield ("stage<k>.<path>", array) for every :func:`net_layout` entry.
+        """Yield (slot name, array) for every :func:`net_layout` slot, as
+        the stages hold it.
 
         Derived tensors (tied adjoints) and shared operators beyond stage 0
         are not stored, so they are not emitted.
         """
-        layout = net_layout(self.height, self.width, self.num_stages, self.channels,
-                            self.mode, self.tie_adjoint, self.share_operator)
-        for k, path, _, _ in layout:
-            yield "stage%d.%s" % (k, path), attrgetter(path)(self.stages[k])
+        for slot in self.arena.slots:
+            yield slot.name, attrgetter(slot.path)(self.stages[slot.stage])
 
 
 @lru_cache(maxsize=32)
 def net_layout(h, w, num_stages, channels, mode, tie_adjoint=False, share_operator=False):
-    """Every stored tensor as (stage, path, shape, dtype), in checkpoint order.
+    """Every stored tensor as a :class:`Slot`, in checkpoint order.
 
     Per stage: step size, threshold, the analysis (1->c->c) and synthesis
     (c->c->1) conv stacks, then the operator tensors of
     ``cdp.operator_layout`` (stage 0 only when the operator is shared).
-    ``path`` is the attribute path inside the stage, e.g. "ana.w1" or
-    "op.gain".  This single order drives the builder, the optimizer, the
-    gradient layout and the checkpoint format.
+    This single order drives the builder, the optimizer, the gradient
+    layout and the checkpoint format; the slots follow one another in an
+    arena.
     """
     c = channels
     stage = [("step_size", (), _REAL), ("thresh_raw", (), _REAL)]
@@ -140,34 +183,38 @@ def net_layout(h, w, num_stages, channels, mode, tie_adjoint=False, share_operat
         stage += [(blk + "." + name, shape, _REAL) for name, shape in zip(_STACK, shapes)]
     op = [("op." + name, shape, dtype)
           for name, shape, dtype in cdp.operator_layout(mode, h, w, tie_adjoint)]
-    return tuple(
-        (k,) + entry
-        for k in range(num_stages)
-        for entry in (stage + op if k == 0 or not share_operator else stage)
-    )
+    slots, pos = [], 0
+    for k in range(num_stages):
+        for path, shape, dtype in (stage + op if k == 0 or not share_operator else stage):
+            n = math.prod(shape) * dtype.itemsize // 8
+            slots.append(Slot("stage%d.%s" % (k, path), k, path, shape, dtype, pos, pos + n))
+            pos += n
+    return tuple(slots)
 
 
 def build_net(h, w, num_stages, channels, num_masks, mode, tie_adjoint,
-              share_operator, fill):
-    """Network whose stored tensors are ``fill(stage, path, shape, dtype)``.
+              share_operator, flat=None):
+    """Network whose stored tensors are views into one parameter arena.
 
-    ``fill`` runs once per :func:`net_layout` entry, in layout order; a
-    shared operator is filled at stage 0 and reused by the later stages.
+    ``flat`` holds their values in :func:`net_layout` order (zeros when
+    None); a shared operator is stored at stage 0 and reused by the later
+    stages.
     """
     net = NetParams(
         height=h, width=w, num_masks=num_masks, channels=channels, mode=mode,
         tie_adjoint=tie_adjoint, share_operator=share_operator,
     )
+    net.arena = Arena(net_layout(h, w, num_stages, channels, mode, tie_adjoint,
+                                 share_operator), flat)
     blank = [None] * len(_STACK)
     for k in range(num_stages):
         op = net.stages[0].op if share_operator and k > 0 else \
             cdp.OperatorParams(mode=mode, tie_adjoint=tie_adjoint)
         net.stages.append(StageParams(None, None, op, ConvStack(*blank), ConvStack(*blank)))
-    for k, path, shape, dtype in net_layout(h, w, num_stages, channels, mode,
-                                            tie_adjoint, share_operator):
-        stage = net.stages[k]
-        owner, _, attr = path.rpartition(".")  # "ana.w1" sets stage.ana.w1
-        setattr(attrgetter(owner)(stage) if owner else stage, attr, fill(k, path, shape, dtype))
+    for slot, view in zip(net.arena.slots, net.arena.views):
+        stage = net.stages[slot.stage]
+        owner, _, attr = slot.path.rpartition(".")  # "ana.w1" sets stage.ana.w1
+        setattr(attrgetter(owner)(stage) if owner else stage, attr, view)
     return net
 
 
@@ -181,16 +228,16 @@ def init_net(h, w, num_stages=7, channels=32, num_masks=4, mode="structured",
         rng = SeededRng(0)
     scalars = {"step_size": STEP_SIZE_INIT, "thresh_raw": THRESH_RAW_INIT}
     op = cdp.OperatorParams.initial(mode, h, w, tie_adjoint)
-
-    def fill(k, path, shape, dtype):
-        if path.startswith("op."):
-            return getattr(op, path[3:]).copy()
-        if len(shape) == 4:  # conv weight (c_out, c_in, 3, 3)
-            return xavier_conv_weight(rng, shape[0], shape[1])
-        return np.full(shape, scalars.get(path, 0.0))  # scalars, zero biases
-
-    return build_net(h, w, num_stages, channels, num_masks, mode, tie_adjoint,
-                     share_operator, fill)
+    net = build_net(h, w, num_stages, channels, num_masks, mode, tie_adjoint,
+                    share_operator)
+    for slot, arr in zip(net.arena.slots, net.arena.views):
+        if slot.path.startswith("op."):
+            arr[...] = getattr(op, slot.path[3:])
+        elif len(slot.shape) == 4:  # conv weight (c_out, c_in, 3, 3)
+            arr[...] = xavier_conv_weight(rng, slot.shape[0], slot.shape[1])
+        else:  # scalars, zero biases
+            arr[...] = scalars.get(slot.path, 0.0)
+    return net
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +280,7 @@ def sgd_step_bwd(dr, cache):
     grads["step_size"] = np.array(-np.sum(dr * cache["s_re"]))
     dz, adj_grads = cdp.operator_adjoint_vjp(-cache["t"] * dr, cache["adj"])
     for k, v in adj_grads.items():
-        grads["op." + k] = grads.get("op." + k, 0) + v
+        grads["op." + k] = v
     # resid = z - y * phase(z), phase(z) = z / max(|z|, eps).  Above eps the
     # phase pulls dph = -y * dresid back to 1j * ph * Im(conj(dph) * ph) / |z|,
     # i.e. dz += 1j * ph * c with real c = y * Im(conj(dresid) * ph) / |z|;
@@ -250,8 +297,9 @@ def sgd_step_bwd(dr, cache):
     im += ph.real * c
     dz[small] = dres_small + (-y_small * dres_small) / PHASE_EPS
     dxc, op_grads = cdp.operator_apply_vjp(dz, cache["op"])
-    for k, v in op_grads.items():
-        grads["op." + k] = grads.get("op." + k, 0) + v
+    for k, v in op_grads.items():  # a tied adjoint's cotangent is on the same key
+        key = "op." + k
+        grads[key] = grads[key] + v if key in grads else v
     dx = dr + dxc.real
     return dx, grads
 
@@ -400,40 +448,27 @@ def net_forward(y, masks, params, x0=None, *, record=False):
 
 
 def net_backward_from_output(tape, dout):
-    """Walk the tape in reverse given dL/d(output); returns name->grad dict.
+    """Walk the tape in reverse given dL/d(output); returns (grads, dx).
 
-    Complex parameter cotangents stay complex (dL/dRe + i dL/dIm); shared
-    operators accumulate under the stage0 names.
+    ``grads`` is an :class:`Arena` laid out like the parameters, zero where
+    a tensor is untouched; complex cotangents are dL/dRe + i dL/dIm.
     """
     params = tape.params
     if len(tape.stage_caches) != params.num_stages:
         raise ValueError("the tape holds no stage caches: run net_forward(..., record=True) "
                          "before a backward pass")
     dx = dout if dout.ndim == 3 else dout[None]
-    grads = {}
+    grads = Arena(params.arena.slots)
 
-    def put(k, name, v):
-        if name.startswith("op.") and params.share_operator:
-            k = 0
-        key = "stage%d.%s" % (k, name)
-        if key in grads:
-            grads[key] = grads[key] + v
-        else:
-            grads[key] = v
+    def put(k, g):
+        for name, v in g.items():  # a shared operator accumulates at stage 0
+            shared = params.share_operator and name.startswith("op.")
+            grads["stage%d.%s" % (0 if shared else k, name)] += v
 
     for k in range(params.num_stages - 1, -1, -1):
         c_sgd, c_ppm = tape.stage_caches[k]
         dr, g_ppm = ppm_bwd(dx, c_ppm)
-        for name, v in g_ppm.items():
-            put(k, name, v)
+        put(k, g_ppm)
         dx, g_sgd = sgd_step_bwd(dr, c_sgd)
-        for name, v in g_sgd.items():
-            put(k, name, v)
-    # canonicalize: every emitted tensor gets an entry, zero when untouched
-    out = {}
-    for name, arr in params.tensors():
-        g = grads.get(name)
-        if g is None:
-            g = np.zeros_like(arr)
-        out[name] = g
-    return out, dx
+        put(k, g_sgd)
+    return grads, dx

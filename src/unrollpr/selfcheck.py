@@ -110,7 +110,7 @@ def grad_error_by_tensor(net, y, masks, truth):
     fd = fd_gradients(net, y, masks, truth)
     errs = {}
     for name in fd:
-        ga = training._real_flat(analytic[name])
+        ga = analytic[name].view(np.float64).reshape(-1)
         gf = fd[name]
         denom = max(np.linalg.norm(ga), np.linalg.norm(gf), 1e-12)
         errs[name] = float(np.linalg.norm(ga - gf) / denom)

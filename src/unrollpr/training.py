@@ -1,12 +1,15 @@
 """End-to-end training: loss, reverse-mode gradients, Adam, checkpoints.
 
-Complex parameters are optimized in real coordinates: every tensor exposes
-a float64 view (real/imag interleaved for complex dtypes) and Adam moments
-live in that flat real layout.  The gradient dict produced by ``backward``
-is keyed exactly like ``NetParams.tensors()``, which walks
-``network.net_layout``; the checkpoint format serializes the same layout,
-so one declared order drives the optimizer, the file format and the
-finite-difference harness.
+Parameters, gradients and Adam moments each live in an arena: one float64
+array per network, its tensors laid out one after the other in
+``network.net_layout`` order, complex entries as interleaved real/imag
+pairs, so complex parameters are optimized in real coordinates.  The
+tensors, and the gradient and moment dicts keyed like
+``NetParams.tensors()``, are views into their arenas.  Adam runs over the
+arenas in cache-sized blocks, one chunk's gradients add to another's in
+one sum, and a checkpoint record is a slice of an arena, so one declared
+order drives the optimizer, the file format and the finite-difference
+harness.
 
 Checkpoint container (all little-endian): magic "DLMM", u32 version 2,
 u32 fields K, c, J, h, w, operator mode code (0 fixed / 1 dense /
@@ -22,7 +25,6 @@ before it hashes anything or allocates the network.
 """
 
 import hashlib
-import math
 import multiprocessing
 import os
 import signal
@@ -30,6 +32,8 @@ import struct
 import time
 import traceback
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import zip_longest
 
 import numpy as np
 
@@ -52,8 +56,11 @@ _MODE_NAMES = {v: k for k, v in _MODE_CODES.items()}
 # magic, version, then K, c, J, h, w, mode code, flags
 _HEADER = struct.Struct("<4s8I")
 _KNOWN_FLAGS = 3
-# a save hashes and writes records in buffers of up to this many bytes
+_COUNT = struct.Struct("<Q")  # the float count before each record
+# a save joins records shorter than this many bytes into one buffer
 _GATHER_BYTES = 1 << 16
+# float64s of each array an Adam block touches: the block's arrays stay in cache
+_ADAM_BLOCK = 1 << 15
 
 FNV_OFFSET = 0xCBF29CE484222325
 FNV_PRIME = 0x100000001B3
@@ -65,12 +72,6 @@ def fnv1a64(data):
     for b in data:
         h = ((h ^ b) * FNV_PRIME) & 0xFFFFFFFFFFFFFFFF
     return h
-
-
-def _real_flat(a):
-    """Float64 view of a tensor's real coordinates, flattened (no copy)."""
-    a = np.ascontiguousarray(a)
-    return a.view(np.float64).reshape(-1)
 
 
 # ---------------------------------------------------------------------------
@@ -90,7 +91,8 @@ def loss_mse(batch_out, batch_truth):
 
 
 def backward(tape, truth, batch_scale=None):
-    """Gradient of the mean-squared loss w.r.t. every network tensor.
+    """Gradient of the mean-squared loss w.r.t. every network tensor, as an
+    arena laid out like the parameters (``network.net_backward_from_output``).
 
     ``truth`` matches the tape's output shape.  ``batch_scale`` overrides
     the sample count in the loss normalization, which lets a batch be
@@ -113,7 +115,8 @@ def backward(tape, truth, batch_scale=None):
 
 @dataclass
 class AdamState:
-    """First/second moments per tensor (real layout) plus the step count."""
+    """First/second moments per tensor, each an arena laid out like the
+    parameters (real coordinates), plus the step count."""
 
     m: dict
     v: dict
@@ -121,44 +124,64 @@ class AdamState:
 
 
 def init_adam(params):
-    m = {}
-    v = {}
-    for name, arr in params.tensors():
-        n = _real_flat(arr).size
-        m[name] = np.zeros(n)
-        v[name] = np.zeros(n)
-    return AdamState(m=m, v=v)
+    return AdamState(m=network.Arena(params.arena.slots), v=network.Arena(params.arena.slots))
+
+
+def _flat(params, tensors, what="", items=None):
+    """``tensors.flat``, once ``items`` (name -> array, ``tensors`` by
+    default) hold every tensor of ``params``' layout as a view into it;
+    ValueError names the first one that is not."""
+    slots = params.arena.slots
+    if not isinstance(tensors, network.Arena):
+        name = slots[0].name
+    elif tensors.slots != slots:
+        name = next(a or b for a, b in zip_longest(slots, tensors.slots) if a != b).name
+    else:
+        name = tensors.stale(items)
+    if name is None:
+        return tensors.flat
+    raise ValueError("%s%s is not a view into an arena laid out like the network's: "
+                     "rebound rather than written into, or of another network" % (name, what))
+
+
+def _grad_flat(params, grads):
+    """``grads`` as one array laid out like the parameter arena: its own
+    arena when it is one, else a copy."""
+    if isinstance(grads, network.Arena) and grads.slots == params.arena.slots \
+            and grads.stale() is None:
+        return grads.flat
+    packed = network.Arena(params.arena.slots)
+    for name, view in packed.items():
+        g = np.asarray(grads.get(name))
+        if g.dtype == object or g.shape != view.shape:
+            raise ValueError("gradient for %s is missing or not shaped %r" % (name, view.shape))
+        view[...] = g
+    return packed.flat
 
 
 def adam_update(params, grads, state, lr):
     """One Adam step, updating parameters in place.
 
     m <- b1 m + (1-b1) g;  v <- b2 v + (1-b2) g^2;  bias-correct both;
-    theta <- theta - lr * mhat / (sqrt(vhat) + eps).
+    theta <- theta - lr * mhat / (sqrt(vhat) + eps).  Each coordinate is
+    updated on its own, so the arenas go through in blocks that stay in
+    cache.
     """
+    p = _flat(params, params.arena, items=dict(params.tensors()))
+    m, v = _flat(params, state.m, ".m"), _flat(params, state.v, ".v")
+    g = _grad_flat(params, grads)
     state.step += 1
     k = state.step
     c1 = 1.0 - ADAM_BETA1 ** k
     c2 = 1.0 - ADAM_BETA2 ** k
-    for name, arr in params.tensors():
-        g = grads.get(name)
-        if g is None:
-            raise ValueError("missing gradient for %s" % name)
-        g = np.asarray(g)
-        if g.shape != arr.shape:
-            raise ValueError(
-                "gradient shape %r does not match %s %r" % (g.shape, name, arr.shape)
-            )
-        gf = _real_flat(g)
-        m = state.m[name]
-        v = state.v[name]
-        m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * gf
-        v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * gf * gf
-        upd = lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
-        rv = arr.view(np.float64)
-        rv[...] -= upd.reshape(rv.shape)
+    for i in range(0, p.size, _ADAM_BLOCK):
+        s = slice(i, i + _ADAM_BLOCK)
+        gb, mb, vb = g[s], m[s], v[s]
+        mb *= ADAM_BETA1
+        mb += (1.0 - ADAM_BETA1) * gb
+        vb *= ADAM_BETA2
+        vb += (1.0 - ADAM_BETA2) * gb * gb
+        p[s] -= lr * (mb / c1) / (np.sqrt(vb / c2) + ADAM_EPS)
     return params, state
 
 
@@ -346,17 +369,11 @@ def _chunk_grads(net, images, ys, masks, idx, batch_scale, threads):
     results = _map(_grads, [
         (net, images[c], ys[c], masks[c], batch_scale) for c in chunks
     ], threads)
-    total_sq = 0.0
-    grads = None
-    for sq, g in results:  # fixed order: chunk 0, 1, ...
-        total_sq += sq
-        if grads is None:
-            grads = g
-        else:
-            for k in grads:
-                grads[k] = grads[k] + g[k]
+    grads = results[0][1]
+    for _, g in results[1:]:  # fixed order: chunk 0, 1, ...
+        grads.flat += g.flat
     n = images.shape[1] * images.shape[2]
-    return total_sq / (batch_scale * n), grads
+    return sum(sq for sq, _ in results) / (batch_scale * n), grads
 
 
 def _reconstruct(net, ys, masks):
@@ -432,9 +449,14 @@ def train_full(dataset, config, net=None, val_dataset=None, log_path=None):
             loss, grads = _chunk_grads(
                 net, images, ys, masks, idx, len(idx), config.threads
             )
-            if not np.isfinite(loss):  # before the update: the weights stay finite
+            bad = None if np.isfinite(loss) else "loss %r" % loss
+            if bad is None and not np.isfinite(grads.flat @ grads.flat):
+                # the first non-finite tensor; none if the square sum just overflowed
+                bad = next(("gradient of " + name for name, g in grads.items()
+                            if not np.isfinite(g).all()), None)
+            if bad:  # before the update: the weights stay finite
                 raise FloatingPointError(
-                    "training diverged at epoch %d step %d: loss %r" % (epoch + 1, step, loss))
+                    "training diverged at epoch %d step %d: %s" % (epoch + 1, step, bad))
             sq_sum += loss * len(idx)
             with np.errstate(over="ignore", invalid="ignore"):
                 adam_update(net, grads, state, lr)
@@ -499,28 +521,23 @@ def _check_header(head):
     return version, k, c, j, h, w, mode, flags
 
 
-def _floats(shape, dtype):
-    """Float64 count of a stored tensor (complex entries are two floats)."""
-    return math.prod(shape) * dtype.itemsize // 8
+@lru_cache(maxsize=32)
+def _records(slots):
+    """The payload after the header as (arena, byte start, byte stop, name)
+    per record: arena 0 holds the parameters, 1 and 2 the Adam moments m
+    and v, whose records alternate per tensor, and 3 the step counter."""
+    spans = [(8 * s.start, 8 * s.stop, s.name) for s in slots]
+    return tuple((0,) + span for span in spans) + tuple(
+        (i, a, b, name + what) for a, b, name in spans for i, what in ((1, ".m"), (2, ".v"))
+    ) + ((3, 0, 8, "step counter"),)
 
 
-def _file_size(version, layout):
-    """Exact checkpoint length implied by a validated header's layout.
+def checkpoint_save(params, state, path):
+    """Serialize network and optimizer state; bit-exact round trip.
 
-    Every ``network.net_layout`` entry is a record (u64 count plus its
-    floats) three times: the parameter, then the two Adam moments.
-    """
-    tensors = sum(8 + 8 * _floats(shape, dtype) for _, _, shape, dtype in layout)
-    # params, then m and v per tensor, then the one-float step counter
-    return _HEADER.size + 3 * tensors + 16 + _TRAILER_SIZE[version]
-
-
-def _pieces(params, state):
-    """The version 2 payload as byte buffers.
-
-    Consecutive records are gathered into buffers of at most _GATHER_BYTES;
-    a tensor that does not fit in the current buffer goes out as a
-    memoryview of its data, uncopied.
+    Raises ValueError, before any file is created, naming the first tensor
+    of the network, or of ``state``'s moments, that is not laid out as the
+    network's layout asks.
     """
     flags = (1 if params.tie_adjoint else 0) | (2 if params.share_operator else 0)
     head = _HEADER.pack(
@@ -528,35 +545,23 @@ def _pieces(params, state):
         params.num_masks, params.height, params.width, _MODE_CODES[params.mode], flags,
     )
     _check_header(head)  # never write a file that checkpoint_load rejects
-    arrays = [arr for _, arr in params.tensors()]
-    for name, _ in params.tensors():
-        arrays += [state.m[name], state.v[name]]
-    arrays.append(np.array(float(state.step)))
-    buf = bytearray(head)
-    for a in arrays:
-        flat = _real_flat(a).astype("<f8", copy=False)
-        buf += struct.pack("<Q", flat.size)
-        data = memoryview(flat).cast("B")
-        if len(buf) + len(data) <= _GATHER_BYTES:
-            buf += data
-        else:
-            yield buf
-            yield data
-            buf = bytearray()
-    yield buf
-
-
-def checkpoint_save(params, state, path):
-    """Serialize network and optimizer state; bit-exact round trip."""
+    arenas = [memoryview(a.astype("<f8", copy=False)).cast("B") for a in (
+        _flat(params, params.arena, items=dict(params.tensors())),
+        _flat(params, state.m, ".m"), _flat(params, state.v, ".v"),
+        np.array([state.step], float))]
+    parts, run = [], [head]
+    for i, a, b, _ in _records(params.arena.slots):
+        run.append(_COUNT.pack((b - a) // 8))
+        if b - a < _GATHER_BYTES:
+            run.append(arenas[i][a:b])
+        else:  # a long record goes out uncopied
+            parts += (b"".join(run), arenas[i][a:b])
+            run = []
+    parts.append(b"".join(run))
     digest = hashlib.sha256()
-
-    def chunks():
-        for piece in _pieces(params, state):
-            digest.update(piece)
-            yield piece
-        yield digest.digest()
-
-    atomic_write(path, chunks())
+    for part in parts:
+        digest.update(part)
+    atomic_write(path, parts + [digest.digest()])
 
 
 def checkpoint_load(path):
@@ -564,8 +569,11 @@ def checkpoint_load(path):
     with open(path, "rb") as f:
         version, k, c, j, h, w, mode, flags = _check_header(f.read(_HEADER.size))
         tie, share = bool(flags & 1), bool(flags & 2)
-        layout = network.net_layout(h, w, k, c, mode, tie, share)
-        expected = _file_size(version, layout)
+        slots = network.net_layout(h, w, k, c, mode, tie, share)
+        # every slot is a record (u64 count plus its floats) for the parameter
+        # and both Adam moments, then comes the one-float step counter
+        expected = (_HEADER.size + 24 * (len(slots) + slots[-1].stop) + 16
+                    + _TRAILER_SIZE[version])
         actual = os.fstat(f.fileno()).st_size
         if actual != expected:
             raise FormatError(
@@ -582,32 +590,22 @@ def checkpoint_load(path):
         computed = hashlib.sha256(body).digest()
     if data[digest_at:] != computed:
         raise FormatError("digest mismatch, file corrupted", offset=digest_at)
+    # every float is read: parameters, m, v and the step counter
+    arenas = [np.empty(n, "<f8") for n in (slots[-1].stop,) * 3 + (1,)]
+    bufs = [memoryview(a).cast("B") for a in arenas]
     pos = _HEADER.size
-
-    def take(what, n):
-        """Copy the next (u64 count, float64 data) record out of the body."""
-        nonlocal pos
-        (count,) = struct.unpack_from("<Q", body, pos)
-        if count != n:
+    for i, a, b, name in _records(slots):
+        (count,) = _COUNT.unpack_from(body, pos)
+        if 8 * count != b - a:
             raise FormatError(
-                "tensor %s holds %d floats, expected %d" % (what, count, n), offset=pos
-            )
-        flat = np.frombuffer(body, "<f8", n, pos + 8).astype(np.float64)
-        pos += 8 + 8 * n
-        return flat
-
-    def fill(stage, path, shape, dtype):
-        what = "stage%d.%s" % (stage, path)
-        return take(what, _floats(shape, dtype)).view(dtype).reshape(shape)
-
-    net = network.build_net(h, w, k, c, j, mode, tie, share, fill)
-    m, v = {}, {}
-    for name, arr in net.tensors():
-        m[name] = take(name + ".m", arr.nbytes // 8)
-        v[name] = take(name + ".v", arr.nbytes // 8)
-    (step,) = take("step counter", 1)
+                "tensor %s holds %d floats, expected %d" % (name, count, (b - a) // 8),
+                offset=pos)
+        bufs[i][a:b] = body[pos + 8:pos + 8 + b - a]
+        pos += 8 + b - a
+    p, m, v, (step,) = (a.astype(np.float64, copy=False) for a in arenas)
     # the digest catches corruption, not a crafted file; a float64 counts exactly
     # up to 2**53
     if not 0 <= step < 2 ** 53 or step % 1:
         raise FormatError("step counter %r is not a count" % float(step), offset=pos - 8)
-    return net, AdamState(m=m, v=v, step=int(step))
+    net = network.build_net(h, w, k, c, j, mode, tie, share, p)
+    return net, AdamState(m=network.Arena(slots, m), v=network.Arena(slots, v), step=int(step))

@@ -131,7 +131,7 @@ def test_backward_directional_derivative():
     for name, arr in net.tensors():
         d = drng.normal(arr.view(np.float64).size)
         direction[name] = d
-        analytic += float(training._real_flat(grads[name]) @ d)
+        analytic += float(grads[name].view(np.float64).reshape(-1) @ d)
 
     def loss_at(eps):
         for name, arr in net.tensors():
@@ -175,7 +175,8 @@ def test_backward_directional_derivative_every_layout(mode, tie, share):
     grads = backward(tape, truth)
     drng = SeededRng(99)
     direction = {name: drng.normal(arr.view(np.float64).size) for name, arr in net.tensors()}
-    analytic = sum(float(training._real_flat(grads[name]) @ d) for name, d in direction.items())
+    analytic = sum(float(grads[name].view(np.float64).reshape(-1) @ d)
+                   for name, d in direction.items())
 
     def loss_at(eps):
         for name, arr in net.tensors():
@@ -427,6 +428,32 @@ def test_train_stops_at_the_first_nonfinite_step(monkeypatch, worker_pool, threa
         assert np.array_equal(a, after[-1][n])
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+def test_train_names_a_nonfinite_gradient_before_the_update(monkeypatch, worker_pool, threads):
+    # the loss stays finite; at two threads only the worker's chunk is hit
+    ds = _toy_dataset(8, 8, 8, seed=20)
+    cfg = TrainConfig(epochs=2, batch_size=4, seed=5, num_stages=2, channels=2,
+                      threads=threads)
+    net = init_net(8, 8, num_stages=2, channels=2, num_masks=4, rng=SeededRng(1))
+    before = {n: a.copy() for n, a in net.tensors()}
+    parent = os.getpid()
+    real = training.backward
+
+    def poisoned(tape, truth, batch_scale=None):
+        grads = real(tape, truth, batch_scale)
+        if threads == 1 or os.getpid() != parent:
+            grads["stage1.syn.w1"][0, 1, 2, 0] = np.nan
+        return grads
+
+    monkeypatch.setattr(training, "backward", poisoned)
+    with pytest.raises(FloatingPointError,
+                       match=r"^training diverged at epoch 1 step 1: gradient of stage1\.syn\.w1$"):
+        train_full(ds, cfg, net=net)
+    assert len(training._WORKERS) == threads - 1
+    for n, a in net.tensors():
+        assert a.tobytes() == before[n].tobytes(), n
+
+
 def test_train_fixed_mode_has_no_operator_tensors():
     ds = _toy_dataset(6, 8, 8, seed=40)
     cfg = TrainConfig(epochs=1, batch_size=3, seed=8, num_stages=2,
@@ -632,6 +659,27 @@ def test_checkpoint_writes_version_2_sha256_trailer(tmp_path):
     data = path.read_bytes()
     assert data[4:8] == (2).to_bytes(4, "little")
     assert data[-32:] == hashlib.sha256(data[:-32]).digest()
+
+
+def test_checkpoint_save_checks_the_state_and_tensors_before_writing(tmp_path):
+    # each of these used to write a file that checkpoint_load rejects, or
+    # raise a bare KeyError; now a ValueError names the tensor, no file made
+    def net(c):
+        return init_net(8, 8, num_stages=1, channels=c, num_masks=2, rng=SeededRng(c))
+
+    path = tmp_path / "m.ckpt"
+    with pytest.raises(ValueError, match=r"^stage0\.ana\.w1\.m\b"):
+        checkpoint_save(net(2), init_adam(net(3)), str(path))
+    wide = net(2)
+    wide.stages[0].ana.w1 = np.zeros((5, 1, 3, 3))
+    with pytest.raises(ValueError, match=r"^stage0\.ana\.w1 "):
+        checkpoint_save(wide, init_adam(wide), str(path))
+    short = net(2)
+    state = init_adam(short)
+    del state.v["stage0.syn.b2"]
+    with pytest.raises(ValueError, match=r"^stage0\.syn\.b2\.v "):
+        checkpoint_save(short, state, str(path))
+    assert os.listdir(tmp_path) == []
 
 
 @pytest.mark.parametrize("step", [math.inf, math.nan, -1.0, 2.5, 2.0 ** 64])
