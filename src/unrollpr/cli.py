@@ -8,6 +8,8 @@ flags alone.
 """
 
 import argparse
+import csv
+import io
 import math
 import os
 import sys
@@ -124,11 +126,12 @@ def cmd_eval(args):
     for name, alpha, p, s in rows:
         print("%s alpha=%g psnr=%s ssim=%s" % (name, alpha, _fmt(p), _fmt(s)))
     print("mean psnr=%s ssim=%s" % (_fmt(float(np.mean(ps))), _fmt(float(np.mean(ss)))))
-    if args.csv:
-        lines = ["name,alpha,psnr,ssim"]
-        for name, alpha, p, s in rows:
-            lines.append("%s,%s,%s,%s" % (name, ("%g" % alpha), _fmt(p), _fmt(s)))
-        datakit.atomic_write(args.csv, ("\n".join(lines) + "\n").encode("utf-8"))
+    if args.csv:  # csv quotes a name holding "," or '"'
+        text = io.StringIO()
+        out = csv.writer(text, lineterminator="\n")
+        out.writerow(("name", "alpha", "psnr", "ssim"))
+        out.writerows((name, "%g" % alpha, _fmt(p), _fmt(s)) for name, alpha, p, s in rows)
+        datakit.atomic_write(args.csv, text.getvalue().encode("utf-8"))
     return EXIT_OK
 
 

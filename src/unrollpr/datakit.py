@@ -251,6 +251,14 @@ def _parse_alpha(value, line_no):
         "bad alpha %r, need a finite nonnegative number (line %d)" % (value, line_no))
 
 
+def _check_dataset_cap(count, masks, h, w, error):
+    """Raise ``error`` if a set of this shape holds more than DATASET_CAP values."""
+    values = count * masks * h * w
+    if values > DATASET_CAP:
+        raise error("count x masks x height x width is %d, over the cap of %d"
+                    % (values, DATASET_CAP))
+
+
 def read_manifest(path):
     with open(path, "r", encoding="utf-8") as f:
         text = f.read()
@@ -289,10 +297,7 @@ def read_manifest(path):
         if need not in head:
             raise FormatError("manifest missing %s" % need)
     count = head["count"]
-    values = count * head["masks"] * head["height"] * head["width"]
-    if values > DATASET_CAP:
-        raise FormatError("count x masks x height x width is %d, over the cap of %d"
-                          % (values, DATASET_CAP))
+    _check_dataset_cap(count, head["masks"], head["height"], head["width"], FormatError)
     records = []
     for i in range(count):
         rec = samples.get(i)
@@ -369,6 +374,7 @@ def generate_dataset(out_dir, count, h, w, seed, alphas=DEFAULT_ALPHAS,
     for a in alphas:
         if not 0 <= a < np.inf:
             raise ValueError("noise level must be finite and nonnegative, got %r" % (a,))
+    _check_dataset_cap(count, DEFAULT_NUM_MASKS, h, w, ValueError)  # as every reader does
     os.makedirs(out_dir, exist_ok=True)
     domain = STREAM_MASKS_TEST if test_masks else STREAM_MASKS_TRAIN
     records = []

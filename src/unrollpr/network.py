@@ -15,7 +15,9 @@ per-stage parameters, untied across stages unless asked otherwise.
 
 Each stage block is a (forward, vjp) pair sharing a cache: ``sgd_step_fwd``
 / ``sgd_step_bwd`` and ``ppm_fwd`` / ``ppm_bwd``, batched over (B, h, w)
-images.  ``net_forward(..., record=True)`` records a per-stage tape that the
+images.  Each VJP adds its parameter cotangents into its stage of a zero
+network built like the parameters and returns the input cotangent.
+``net_forward(..., record=True)`` records a per-stage tape that the
 training module walks backwards; without ``record`` (inference) no cache
 outlives its stage, and the stages run over blocks of :func:`block_size`
 images, small enough to stay in cache.  That block is also the task that
@@ -274,13 +276,10 @@ def sgd_step_fwd(x, stage, y, masks):
     return r, cache
 
 
-def sgd_step_bwd(dr, cache):
-    """Returns (dx, grads); grads holds step_size plus operator cotangents."""
-    grads = {}
-    grads["step_size"] = np.array(-np.sum(dr * cache["s_re"]))
-    dz, adj_grads = cdp.operator_adjoint_vjp(-cache["t"] * dr, cache["adj"])
-    for k, v in adj_grads.items():
-        grads["op." + k] = v
+def sgd_step_bwd(dr, cache, g):
+    """Adds the step size and operator cotangents into gradient stage ``g``; returns dx."""
+    g.step_size -= np.sum(dr * cache["s_re"])
+    dz, adj = cdp.operator_adjoint_vjp(-cache["t"] * dr, cache["adj"])
     # resid = z - y * phase(z), phase(z) = z / max(|z|, eps).  Above eps the
     # phase pulls dph = -y * dresid back to 1j * ph * Im(conj(dph) * ph) / |z|,
     # i.e. dz += 1j * ph * c with real c = y * Im(conj(dresid) * ph) / |z|;
@@ -296,12 +295,12 @@ def sgd_step_bwd(dr, cache):
     re -= ph.imag * c
     im += ph.real * c
     dz[small] = dres_small + (-y_small * dres_small) / PHASE_EPS
-    dxc, op_grads = cdp.operator_apply_vjp(dz, cache["op"])
-    for k, v in op_grads.items():  # a tied adjoint's cotangent is on the same key
-        key = "op." + k
-        grads[key] = grads[key] + v if key in grads else v
-    dx = dr + dxc.real
-    return dx, grads
+    dxc, fwd = cdp.operator_apply_vjp(dz, cache["op"])
+    for name, v in fwd.items():  # a tied adjoint's cotangent is on the same key:
+        adj[name] = adj[name] + v if name in adj else v  # summed before the slot
+    for name, v in adj.items():
+        getattr(g.op, name)[...] += v
+    return dr + dxc.real
 
 
 # ---------------------------------------------------------------------------
@@ -315,13 +314,17 @@ def _stack_fwd(x4, blk):
     return z2, (k1, k2)
 
 
-def _stack_bwd(dz2, cache):
+def _stack_bwd(dz2, cache, g):
     k1, k2 = cache
     da1, dw2, db2 = conv2d_bwd(dz2, k2)
     dc1 = rows(da1)
     np.multiply(dc1, rows(k2[0]) > 0, out=dc1)  # relu(c) > 0 exactly where c > 0
     dx4, dw1, db1 = conv2d_bwd(da1, k1)
-    return dx4, {"w1": dw1, "b1": db1, "w2": dw2, "b2": db2}
+    g.w1 += dw1
+    g.b1 += db1
+    g.w2 += dw2
+    g.b2 += db2
+    return dx4
 
 
 def ppm_fwd(r, stage):
@@ -343,23 +346,17 @@ def ppm_fwd(r, stage):
     return x, cache
 
 
-def ppm_bwd(dx, cache):
-    """Returns (dr, grads) with conv and threshold cotangents."""
-    dshrunk, syn_g = _stack_bwd(dx[:, None], cache["syn"])
+def ppm_bwd(dx, cache, g):
+    """Adds the conv and threshold cotangents into gradient stage ``g``; returns dr."""
+    dshrunk = _stack_bwd(dx[:, None], cache["syn"], g.syn)
     shrunk = rows(cache["shrunk"])
     dcode = rows(dshrunk)
     # dead zone |code| <= tau, derivative 0: exactly where shrunk == 0
     np.multiply(dcode, shrunk != 0, out=dcode)
     dtau = -np.vdot(np.sign(shrunk), dcode)
-    dthresh_raw = np.array(dtau * float(sigmoid(cache["thresh_raw"])))
-    dr4, ana_g = _stack_bwd(dshrunk, cache["ana"])
-    dr = dx + dr4[:, 0]
-    grads = {"thresh_raw": dthresh_raw}
-    for k, v in ana_g.items():
-        grads["ana." + k] = v
-    for k, v in syn_g.items():
-        grads["syn." + k] = v
-    return dr, grads
+    g.thresh_raw += dtau * float(sigmoid(cache["thresh_raw"]))
+    dr4 = _stack_bwd(dshrunk, cache["ana"], g.ana)
+    return dx + dr4[:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -450,25 +447,18 @@ def net_forward(y, masks, params, x0=None, *, record=False):
 def net_backward_from_output(tape, dout):
     """Walk the tape in reverse given dL/d(output); returns (grads, dx).
 
-    ``grads`` is an :class:`Arena` laid out like the parameters, zero where
-    a tensor is untouched; complex cotangents are dL/dRe + i dL/dIm.
+    The stage VJPs add into a zero network built like the parameters, so a
+    shared operator sums at stage 0.  ``grads`` is its :class:`Arena`;
+    complex cotangents are dL/dRe + i dL/dIm.
     """
-    params = tape.params
-    if len(tape.stage_caches) != params.num_stages:
+    p = tape.params
+    if len(tape.stage_caches) != p.num_stages:
         raise ValueError("the tape holds no stage caches: run net_forward(..., record=True) "
                          "before a backward pass")
     dx = dout if dout.ndim == 3 else dout[None]
-    grads = Arena(params.arena.slots)
-
-    def put(k, g):
-        for name, v in g.items():  # a shared operator accumulates at stage 0
-            shared = params.share_operator and name.startswith("op.")
-            grads["stage%d.%s" % (0 if shared else k, name)] += v
-
-    for k in range(params.num_stages - 1, -1, -1):
-        c_sgd, c_ppm = tape.stage_caches[k]
-        dr, g_ppm = ppm_bwd(dx, c_ppm)
-        put(k, g_ppm)
-        dx, g_sgd = sgd_step_bwd(dr, c_sgd)
-        put(k, g_sgd)
-    return grads, dx
+    grads = build_net(p.height, p.width, p.num_stages, p.channels, p.num_masks, p.mode,
+                      p.tie_adjoint, p.share_operator)
+    for (c_sgd, c_ppm), g in zip(reversed(tape.stage_caches), reversed(grads.stages)):
+        dr = ppm_bwd(dx, c_ppm, g)
+        dx = sgd_step_bwd(dr, c_sgd, g)
+    return grads.arena, dx

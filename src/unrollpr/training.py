@@ -4,12 +4,12 @@ Parameters, gradients and Adam moments each live in an arena: one float64
 array per network, its tensors laid out one after the other in
 ``network.net_layout`` order, complex entries as interleaved real/imag
 pairs, so complex parameters are optimized in real coordinates.  The
-tensors, and the gradient and moment dicts keyed like
-``NetParams.tensors()``, are views into their arenas.  Adam runs over the
-arenas in cache-sized blocks, one chunk's gradients add to another's in
-one sum, and a checkpoint record is a slice of an arena, so one declared
-order drives the optimizer, the file format and the finite-difference
-harness.
+backward adds into a zero network built like the parameters and returns
+its arena; it and the moment arenas map ``NetParams.tensors()`` names to
+views.  Adam runs over the arenas in cache-sized blocks, one chunk's
+gradients add to another's in one sum, and a checkpoint record is a slice
+of an arena, so one declared order drives the optimizer, the file format
+and the finite-difference harness.
 
 Checkpoint container (all little-endian): magic "DLMM", u32 version 2,
 u32 fields K, c, J, h, w, operator mode code (0 fixed / 1 dense /

@@ -81,6 +81,30 @@ def test_an_unpickled_net_keeps_its_arena(mode, tie, share):
     _assert_views(grads, grads.items())
 
 
+@pytest.mark.parametrize("mode", ["structured", "dense"])
+@pytest.mark.parametrize("tie", [False, True])
+def test_a_shared_operator_gradient_sums_the_stages_last_first(mode, tie):
+    # an unshared net whose every stage holds the shared operator's values
+    # computes the same per-stage cotangents; the shared slot must hold
+    # 0 + g[K-1] + ... + g[0], each stage's tied-adjoint and forward parts
+    # summed before they reach the slot
+    kw = dict(num_stages=3, channels=2, num_masks=2, mode=mode, tie_adjoint=tie)
+    shared = init_net(4, 4, share_operator=True, rng=SeededRng(6), **kw)
+    apart = init_net(4, 4, rng=SeededRng(6), **kw)
+    for slot in apart.arena.slots:
+        src = "stage0." + slot.path if slot.path.startswith("op.") else slot.name
+        apart.arena[slot.name][...] = shared.arena[src]
+    g_shared, g_apart = _grads(shared, 7), _grads(apart, 7)
+    for slot in shared.arena.slots:
+        if slot.path.startswith("op."):
+            want = np.zeros(slot.shape, slot.dtype)
+            for k in (2, 1, 0):
+                want += g_apart["stage%d.%s" % (k, slot.path)]
+        else:
+            want = g_apart[slot.name]
+        assert g_shared[slot.name].tobytes() == want.tobytes(), slot.name
+
+
 def _reference_adam(tensors, grads, m, v, step, lr):
     """The per-tensor update, one tensor at a time in real coordinates."""
     c1 = 1.0 - ADAM_BETA1 ** step

@@ -1,5 +1,6 @@
 """Command-line behavior: flows, output contracts, exit codes."""
 
+import csv
 import pathlib
 import re
 import subprocess
@@ -11,7 +12,7 @@ import pytest
 import unrollpr
 from unrollpr import datakit, network, training
 from unrollpr.cli import main
-from unrollpr.field import STREAM_INIT, derive_rng
+from unrollpr.field import DATASET_CAP, STREAM_INIT, derive_rng
 from unrollpr.network import init_net
 
 
@@ -95,6 +96,29 @@ def test_gen_data_rejects_sizes_beyond_the_cap(tmp_path, capsys, monkeypatch, si
     assert rc == 2
     assert "outside [1, 4096]" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_gen_data_rejects_a_set_beyond_the_dataset_cap(tmp_path, capsys, monkeypatch):
+    # each size is valid; 5 x 4 masks x 1024 x 1024 values are not
+    _forbid(monkeypatch, datakit, "synth_image")
+    out = tmp_path / "x"
+    rc = main(["gen-data", "--out", str(out), "--count", "5", "--size", "1024x1024",
+               "--seed", "1"])
+    assert rc == 2
+    assert "over the cap of %d" % DATASET_CAP in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_gen_data_writes_a_set_at_the_dataset_cap_and_no_larger(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(datakit, "DATASET_CAP", 2 * datakit.DEFAULT_NUM_MASKS * 8 * 8)
+    at, over = tmp_path / "at", tmp_path / "over"
+    assert main(["gen-data", "--out", str(at), "--count", "2", "--size", "8x8",
+                 "--seed", "1"]) == 0
+    assert datakit.load_dataset(str(at))[0].count == 2  # and readable
+    assert main(["gen-data", "--out", str(over), "--count", "3", "--size", "8x8",
+                 "--seed", "1"]) == 2
+    assert "over the cap" in capsys.readouterr().err
+    assert not over.exists()
 
 
 @pytest.mark.parametrize("alphas", ["nan", "inf", "9,nan"])
@@ -338,6 +362,21 @@ def test_eval_csv_matches_stdout(tmp_path, capsys):
         assert cells[0] in text_line
         assert ("psnr=" + cells[2]) in text_line
         assert ("ssim=" + cells[3]) in text_line
+
+
+def test_eval_csv_quotes_a_name_with_a_comma_or_quote(tmp_path):
+    data = _gen(tmp_path, count=2, size="16x16", seed=14)
+    name = 'a,"b".pgm'
+    (data / "img_0000.pgm").rename(data / name)
+    _set_manifest(data, "sample.0.image", name)
+    ckpt = _train(tmp_path, data, epochs=0)
+    out = tmp_path / "scores.csv"
+    assert main(["eval", "--ckpt", str(ckpt), "--data", str(data), "--csv", str(out)]) == 0
+    with open(out, newline="") as f:
+        rows = list(csv.reader(f))
+    assert [row[0] for row in rows] == ["name", name, "img_0001.pgm"]
+    assert all(len(row) == 4 for row in rows)
+    assert out.read_text().splitlines()[2].startswith("img_0001.pgm,27,")
 
 
 def test_eval_empty_dataset(tmp_path, capsys):

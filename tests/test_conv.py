@@ -128,11 +128,12 @@ def _conv_and_prox_results():
     net = init_net(8, 8, num_stages=1, channels=4, num_masks=2, rng=SeededRng(43))
     r = SeededRng(44).uniform(3 * 64).reshape(3, 8, 8)
     xo, cache = network.ppm_fwd(r, net.stages[0])
-    dr, g = network.ppm_bwd(xo - r, cache)
+    grads = network.build_net(8, 8, 1, 4, 2, "structured", False, False)
+    dr = network.ppm_bwd(xo - r, cache, grads.stages[0])
     outs = [y1, y2, d1, d0, cache["shrunk"]]
     for out in outs:  # every cell outside the pixels is zero
         assert np.count_nonzero(rows(out)) == np.count_nonzero(out)
-    return outs + [dw2, db2, dw1, db1, xo, dr] + [g[k] for k in sorted(g)]
+    return outs + [dw2, db2, dw1, db1, xo, dr, grads.arena.flat]
 
 
 def test_every_pad_cell_of_an_output_is_written(monkeypatch):
@@ -158,7 +159,8 @@ def test_prox_step_calls_the_convs_by_their_module_names(monkeypatch):
     net = init_net(8, 16, num_stages=1, channels=4, num_masks=2, rng=SeededRng(45))
     r = SeededRng(46).uniform(3 * 128).reshape(3, 8, 16)
     x, cache = network.ppm_fwd(r, net.stages[0])
-    network.ppm_bwd(x, cache)
+    network.ppm_bwd(x, cache, network.build_net(8, 16, 1, 4, 2, "structured", False,
+                                                False).stages[0])
     one, four = (3, 1, 8, 16), (3, 4, 8, 16)
     assert calls == [("fwd", one)] + [("fwd", four)] * 3 + [("bwd", one)] + [("bwd", four)] * 3
 

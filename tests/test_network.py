@@ -152,7 +152,8 @@ def test_sgd_step_phase_derivative_matches_full_formula(monkeypatch):
     vjp = cdp.operator_apply_vjp
     monkeypatch.setattr(cdp, "operator_apply_vjp",
                         lambda dz, c: (seen.append(dz.copy()), vjp(dz, c))[1])
-    sgd_step_bwd(dr, cache)
+    sgd_step_bwd(dr, cache, network.build_net(h, w, 1, 2, 1, "structured", False,
+                                              False).stages[0])
     got = seen[0]
     small = mag <= PHASE_EPS
     for k in range(b):
