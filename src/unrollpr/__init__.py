@@ -16,8 +16,6 @@ from .cdp import (
     make_cdp_masks,
     masks_from_seed,
     measure,
-    operator_adjoint,
-    operator_apply,
 )
 from .field import SeededRng, fft2_unitary, ifft2_unitary
 from .metrics import psnr, ssim
@@ -37,7 +35,7 @@ from .training import (
     checkpoint_save,
     loss_mse,
     lr_schedule,
-    train,
+    train_full,
 )
 
 # glibc mallopt parameters (malloc.h) and the values set for them
@@ -77,6 +75,5 @@ __all__ = [
     "SeededRng", "StageParams", "TrainConfig", "adam_update", "backward",
     "checkpoint_load", "checkpoint_save", "fft2_unitary", "ifft2_unitary",
     "init_net", "loss_mse", "lr_schedule", "make_cdp_masks", "masks_from_seed",
-    "measure", "net_forward", "operator_adjoint", "operator_apply", "psnr",
-    "soft_threshold", "ssim", "train",
+    "measure", "net_forward", "psnr", "soft_threshold", "ssim", "train_full",
 ]

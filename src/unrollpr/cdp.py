@@ -21,8 +21,8 @@ exactly adjoint, and carries its cotangent back onto the forward side.
 
 Gradients follow the convention  vbar = dL/dRe(v) + i dL/dIm(v)  for complex
 intermediates, which makes every complex-linear map M pull back as M^H.
-Each operator comes as a ``*_fwd`` / ``*_vjp`` pair; the forward returns a
-cache that the vjp consumes.
+Each operator is a ``*_fwd`` / ``*_vjp`` pair only: the forward returns
+(output, cache), and the vjp consumes the cache.
 """
 
 from dataclasses import dataclass
@@ -232,11 +232,6 @@ def operator_apply_fwd(x, mask_set, params):
     return z, cache
 
 
-def operator_apply(x, mask_set, params):
-    z, _ = operator_apply_fwd(x, mask_set, params)
-    return z
-
-
 def operator_apply_vjp(dz, cache):
     """Pull dz back through W.  Returns (dx, grads).
 
@@ -273,11 +268,6 @@ def operator_adjoint_fwd(z, mask_set, params):
         q = ifft2_unitary(z)
     s = np.sum(ms.conj * q, axis=-3)
     return s, cache
-
-
-def operator_adjoint(z, mask_set, params):
-    s, _ = operator_adjoint_fwd(z, mask_set, params)
-    return s
 
 
 def operator_adjoint_vjp(ds, cache):

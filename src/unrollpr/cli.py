@@ -2,9 +2,9 @@
 
 Exit codes: 0 success, 1 selfcheck failure, 2 usage error (training that
 diverges included), 3 I/O error, 4 shape/compatibility error.  Every output
-file is written atomically.  All randomness flows from the --seed flags
-through named streams, so each command's outputs are reproducible from its
-flags alone.
+file is written atomically, into a directory checked before any work.  All
+randomness flows from the --seed flags through named streams, so each
+command's outputs are reproducible from its flags alone.
 """
 
 import argparse
@@ -67,25 +67,30 @@ def _read_dir(data_dir):
     return datakit.read_manifest(os.path.join(data_dir, datakit.MANIFEST_NAME))
 
 
+def _check_out_paths(*paths):
+    """Before any work, fail on an output path that is a directory or in a missing one."""
+    for path in filter(None, paths):
+        if os.path.isdir(path):
+            raise IsADirectoryError("cannot write %s: it is a directory" % path)
+        if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+            raise FileNotFoundError("cannot write %s: its directory does not exist" % path)
+
+
 def cmd_train(args):
-    if args.epochs < 0 or args.batch < 1 or not 0 < args.lr < math.inf or args.threads < 1:
-        print("invalid training flags", file=sys.stderr)
-        return EXIT_USAGE
-    err = cap_error("K", args.K) or cap_error("c", args.channels)
-    if err:
-        print("invalid training flags: %s" % err, file=sys.stderr)
-        return EXIT_USAGE
+    config = training.TrainConfig(
+        epochs=args.epochs, batch_size=args.batch, lr=args.lr, seed=args.seed,
+        num_stages=args.K, channels=args.channels, mode=args.mode,
+        tie_adjoint=args.tie_adjoint, threads=args.threads,
+    )
+    config.check()
+    log_path = args.log if args.log else args.out + ".csv"
+    _check_out_paths(args.out, log_path)
     manifest = _read_dir(args.data)
+    config.num_masks = manifest.num_masks
     dataset = datakit.build_dataset(manifest, base_dir=args.data)
     val = None
     if args.val_data:
         val = datakit.build_dataset(_read_dir(args.val_data), base_dir=args.val_data)
-    config = training.TrainConfig(
-        epochs=args.epochs, batch_size=args.batch, lr=args.lr, seed=args.seed,
-        num_stages=args.K, channels=args.channels, num_masks=manifest.num_masks,
-        mode=args.mode, tie_adjoint=args.tie_adjoint, threads=args.threads,
-    )
-    log_path = args.log if args.log else args.out + ".csv"
     net, history, state = training.train_full(
         dataset, config, val_dataset=val, log_path=log_path
     )
@@ -109,6 +114,7 @@ def _check_compat(net, manifest):
 
 
 def cmd_eval(args):
+    _check_out_paths(args.csv)
     net, _ = training.checkpoint_load(args.ckpt)
     manifest = _read_dir(args.data)
     if manifest.count == 0:
@@ -139,6 +145,7 @@ def cmd_reconstruct(args):
     if not 0 <= args.alpha < math.inf:
         print("alpha must be finite and nonnegative", file=sys.stderr)
         return EXIT_USAGE
+    _check_out_paths(args.out)
     net, _ = training.checkpoint_load(args.ckpt)
     img = datakit.load_pgm(args.input)
     if img.shape != (net.height, net.width):

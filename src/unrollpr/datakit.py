@@ -83,12 +83,16 @@ def synth_image(rng, h, w):
 def atomic_write(path, data):
     """Write ``data`` (bytes, or an iterable of byte buffers written in
     order) via temp file + rename; no partial output on error.  The file
-    gets mode 0666 less the umask, as ``open(path, "wb")`` would give."""
+    gets mode 0666 less the umask, as ``open(path, "wb")`` would give.  An
+    OSError in creating the temp file names ``path``."""
     if isinstance(data, (bytes, bytearray, memoryview)):
         data = (data,)
     d = os.path.dirname(os.path.abspath(path))
     tmp = os.path.join(d, ".tmp-%s~" % secrets.token_hex(8))
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as e:
+        raise type(e)(e.errno, e.strerror, path) from None
     try:
         with os.fdopen(fd, "wb") as f:
             for chunk in data:

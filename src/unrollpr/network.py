@@ -163,8 +163,14 @@ class NetParams:
         Derived tensors (tied adjoints) and shared operators beyond stage 0
         are not stored, so they are not emitted.
         """
-        for slot in self.arena.slots:
-            yield slot.name, attrgetter(slot.path)(self.stages[slot.stage])
+        for name, k, get in _getters(self.arena.slots):
+            yield name, get(self.stages[k])
+
+
+@lru_cache(maxsize=32)
+def _getters(slots):
+    """(name, stage, getter of its path) for every slot of a layout."""
+    return tuple((s.name, s.stage, attrgetter(s.path)) for s in slots)
 
 
 @lru_cache(maxsize=32)

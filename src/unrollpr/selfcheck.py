@@ -40,8 +40,8 @@ def check_adjoint_identity(seeds=100, fault=None):
         masks = cdp.make_cdp_masks(SeededRng(2000 + s), 4, 8, 8)
         x = _rand_complex(rng, (8, 8))
         z = _rand_complex(rng, (4, 8, 8))
-        wx = cdp.operator_apply(x, masks, params)
-        whz = cdp.operator_adjoint(z, masks, params)
+        wx = cdp.operator_apply_fwd(x, masks, params)[0]
+        whz = cdp.operator_adjoint_fwd(z, masks, params)[0]
         if fault == "adjoint":
             whz = whz + 1e-6  # deliberate perturbation, debug hook
         lhs = np.vdot(wx, z)
@@ -59,7 +59,7 @@ def check_parseval(seeds=100):
         masks = cdp.make_cdp_masks(SeededRng(4000 + s), 4, 8, 8)
         x = _rand_complex(rng, (8, 8))
         nx2 = np.linalg.norm(x) ** 2
-        wx = cdp.operator_apply(x, masks, params)
+        wx = cdp.operator_apply_fwd(x, masks, params)[0]
         j = len(masks.masks)
         for wj in wx:
             worst = max(worst, abs(np.linalg.norm(wj) ** 2 - nx2) / nx2)
@@ -76,8 +76,8 @@ def check_adam_first_step():
                                mode="fixed", rng=SeededRng(5))
         state = training.init_adam(net)
         before = float(net.stages[0].step_size)
-        grads = {name: np.zeros_like(arr) for name, arr in net.tensors()}
-        grads["stage0.step_size"] = np.array(g0)
+        grads = network.Arena(net.arena.slots)
+        grads["stage0.step_size"][...] = g0
         training.adam_update(net, grads, state, lr)
         delta = float(net.stages[0].step_size) - before
         err = abs(delta + lr * np.sign(g0)) / lr

@@ -79,10 +79,8 @@ def fnv1a64(data):
 
 def loss_mse(batch_out, batch_truth):
     """Mean squared error over every pixel of every sample."""
-    a = np.stack([np.asarray(v, dtype=np.float64) for v in batch_out]) \
-        if isinstance(batch_out, (list, tuple)) else np.asarray(batch_out, dtype=np.float64)
-    b = np.stack([np.asarray(v, dtype=np.float64) for v in batch_truth]) \
-        if isinstance(batch_truth, (list, tuple)) else np.asarray(batch_truth, dtype=np.float64)
+    a = np.asarray(batch_out, dtype=np.float64)
+    b = np.asarray(batch_truth, dtype=np.float64)
     if a.size == 0 or b.size == 0:
         raise ValueError("empty batch")
     if a.shape != b.shape:
@@ -144,32 +142,17 @@ def _flat(params, tensors, what="", items=None):
                      "rebound rather than written into, or of another network" % (name, what))
 
 
-def _grad_flat(params, grads):
-    """``grads`` as one array laid out like the parameter arena: its own
-    arena when it is one, else a copy."""
-    if isinstance(grads, network.Arena) and grads.slots == params.arena.slots \
-            and grads.stale() is None:
-        return grads.flat
-    packed = network.Arena(params.arena.slots)
-    for name, view in packed.items():
-        g = np.asarray(grads.get(name))
-        if g.dtype == object or g.shape != view.shape:
-            raise ValueError("gradient for %s is missing or not shaped %r" % (name, view.shape))
-        view[...] = g
-    return packed.flat
-
-
 def adam_update(params, grads, state, lr):
     """One Adam step, updating parameters in place.
 
     m <- b1 m + (1-b1) g;  v <- b2 v + (1-b2) g^2;  bias-correct both;
-    theta <- theta - lr * mhat / (sqrt(vhat) + eps).  Each coordinate is
-    updated on its own, so the arenas go through in blocks that stay in
-    cache.
+    theta <- theta - lr * mhat / (sqrt(vhat) + eps).  ``grads`` is the arena
+    :func:`backward` returns.  Each coordinate is updated on its own, so
+    the arenas go through in blocks that stay in cache.
     """
     p = _flat(params, params.arena, items=dict(params.tensors()))
     m, v = _flat(params, state.m, ".m"), _flat(params, state.v, ".v")
-    g = _grad_flat(params, grads)
+    g = _flat(params, grads, " gradient")
     state.step += 1
     k = state.step
     c1 = 1.0 - ADAM_BETA1 ** k
@@ -201,6 +184,18 @@ class TrainConfig:
     tie_adjoint: bool = False
     share_operator: bool = False
     threads: int = 1
+
+    def check(self):
+        """Raise ValueError naming the first field that training cannot run with."""
+        for name, ok in (("epochs", self.epochs >= 0), ("batch_size", self.batch_size >= 1),
+                         ("lr", 0 < self.lr < np.inf), ("threads", self.threads >= 1),
+                         ("mode", self.mode in _MODE_CODES)):
+            if not ok:
+                raise ValueError("invalid training config: %s=%r" % (name, getattr(self, name)))
+        err = cap_error("K", self.num_stages) or cap_error("c", self.channels) \
+            or cap_error("J", self.num_masks)
+        if err:
+            raise ValueError("invalid training config: " + err)
 
 
 def lr_schedule(epoch, config):
@@ -396,24 +391,21 @@ def _csv_num(x):
     return repr(float(x))
 
 
-def train(dataset, config, net=None, val_dataset=None, log_path=None):
-    """Seeded mini-batch training; returns (params, per-epoch loss history).
+def train_full(dataset, config, net=None, val_dataset=None, log_path=None):
+    """Seeded mini-batch training; returns (params, per-epoch loss history,
+    final Adam state).
 
     ``dataset`` is a list of (image, measurement) pairs whose measurements
     were generated by the fixed operator (:func:`cdp.measure`); each
     measurement's own masks are the ones the network reconstructs through,
-    and ``val_dataset`` likewise.  Bit-deterministic for a given
-    config and dataset at each thread count.  ``config.threads`` sets how
-    many chunks each batch is split into (and how many run at once, the
-    extra ones in worker processes), so the gradient sum order, and with it
-    the result at rounding level, differs between thread counts.
+    and ``val_dataset`` likewise.  ``config.check()`` runs before any data
+    is read.  Bit-deterministic for a given config and dataset at each
+    thread count.  ``config.threads`` sets how many chunks each batch is
+    split into (and how many run at once, the extra ones in worker
+    processes), so the gradient sum order, and with it the result at
+    rounding level, differs between thread counts.
     """
-    net, history, _ = train_full(dataset, config, net, val_dataset, log_path)
-    return net, history
-
-
-def train_full(dataset, config, net=None, val_dataset=None, log_path=None):
-    """Like :func:`train` but also returns the final optimizer state."""
+    config.check()
     if len(dataset) == 0:
         raise ValueError("empty dataset")
     images, ys, masks = stack_dataset(dataset)
@@ -422,6 +414,9 @@ def train_full(dataset, config, net=None, val_dataset=None, log_path=None):
         metrics.check_ssim_shape(val_pack[0].shape[1:])
     h, w = images.shape[1:]
     j = ys.shape[1]
+    if config.num_masks != j:
+        raise ValueError("config.num_masks=%d, the measurements hold J=%d masks"
+                         % (config.num_masks, j))
     if net is None:
         net = network.init_net(
             h, w, num_stages=config.num_stages, channels=config.channels,

@@ -27,7 +27,7 @@ import pytest
 from unrollpr import cdp, datakit, metrics, training
 from unrollpr.baselines import LassoProblem, cd_lasso, ista_solve
 from unrollpr.field import STREAM_INIT, SeededRng, derive_rng, fft2_unitary
-from unrollpr.network import init_net, net_forward
+from unrollpr.network import Arena, init_net, net_forward
 from unrollpr.training import TrainConfig, adam_update, backward, init_adam, loss_mse
 
 
@@ -56,8 +56,8 @@ def test_criterion_01_adjoint_identity():
         x = _rand_complex(rng, 64).reshape(8, 8)
         z = _rand_complex(rng, 256).reshape(4, 8, 8)
         masks = cdp.make_cdp_masks(SeededRng(2000 + seed), 4, 8, 8)
-        lhs = np.vdot(cdp.operator_apply(x, masks, par), z)
-        rhs = np.vdot(x, cdp.operator_adjoint(z, masks, par))
+        lhs = np.vdot(cdp.operator_apply_fwd(x, masks, par)[0], z)
+        rhs = np.vdot(x, cdp.operator_adjoint_fwd(z, masks, par)[0])
         bound = np.linalg.norm(x) * np.linalg.norm(z)
         worst = max(worst, abs(lhs - rhs) / bound)
     wall = time.perf_counter() - t0
@@ -82,7 +82,7 @@ def test_criterion_02_isometry():
         for j in range(4):
             nj = np.linalg.norm(fft2_unitary(masks.masks[j] * x))
             worst_ch = max(worst_ch, abs(nj - nx) / nx)
-        z = cdp.operator_apply(x, masks, cdp.OperatorParams(mode="fixed"))
+        z = cdp.operator_apply_fwd(x, masks, cdp.OperatorParams(mode="fixed"))[0]
         e = np.linalg.norm(z) ** 2
         worst_tot = max(worst_tot, abs(e - 4.0 * nx ** 2) / (4.0 * nx ** 2))
     wall = time.perf_counter() - t0
@@ -183,8 +183,8 @@ def test_criterion_04_adam_first_step():
         net = init_net(2, 2, num_stages=1, channels=1, num_masks=1,
                        mode="fixed", rng=SeededRng(9))
         before = float(net.stages[0].step_size)
-        grads = {n: np.zeros_like(a) for n, a in net.tensors()}
-        grads["stage0.step_size"] = np.array(g)
+        grads = Arena(net.arena.slots)
+        grads["stage0.step_size"][...] = g
         adam_update(net, grads, init_adam(net), lr)
         delta = float(net.stages[0].step_size) - before
         worst = max(worst, abs(delta + lr * np.sign(g)) / lr)
@@ -192,8 +192,7 @@ def test_criterion_04_adam_first_step():
     net = init_net(2, 2, num_stages=1, channels=1, num_masks=1,
                    mode="structured", rng=SeededRng(9))
     before = {n: a.copy() for n, a in net.tensors()}
-    adam_update(net, {n: np.zeros_like(a) for n, a in net.tensors()},
-                init_adam(net), lr)
+    adam_update(net, Arena(net.arena.slots), init_adam(net), lr)
     frozen = all(np.array_equal(a, before[n]) for n, a in net.tensors())
     ok = worst <= 1e-6 and frozen
     _verdict(4, "adam-first-step", ok,

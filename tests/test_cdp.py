@@ -10,10 +10,8 @@ from unrollpr.cdp import (
     make_cdp_masks,
     masks_from_seed,
     measure,
-    operator_adjoint,
     operator_adjoint_fwd,
     operator_adjoint_vjp,
-    operator_apply,
     operator_apply_fwd,
     operator_apply_vjp,
 )
@@ -77,7 +75,7 @@ def test_fixed_apply_reduces_to_fft():
     mask = MaskSet(masks=np.ones((1, 2, 2), dtype=np.complex128))
     x = np.zeros((2, 2))
     x[0, 0] = 1.0
-    z = operator_apply(x, mask, OperatorParams(mode="fixed"))
+    z = operator_apply_fwd(x, mask, OperatorParams(mode="fixed"))[0]
     assert z.shape == (1, 2, 2)
     assert np.allclose(z, 0.5, atol=1e-15)
 
@@ -85,16 +83,16 @@ def test_fixed_apply_reduces_to_fft():
 def test_structured_identity_gain_matches_fixed():
     ms = make_cdp_masks(SeededRng(5), 4, 8, 8)
     x = _rand_complex(SeededRng(6), (8, 8))
-    zf = operator_apply(x, ms, OperatorParams(mode="fixed"))
-    zs = operator_apply(x, ms, OperatorParams.initial("structured", 8, 8))
+    zf = operator_apply_fwd(x, ms, OperatorParams(mode="fixed"))[0]
+    zs = operator_apply_fwd(x, ms, OperatorParams.initial("structured", 8, 8))[0]
     assert np.allclose(zf, zs, atol=1e-14)
 
 
 def test_dense_init_matches_fixed_and_matrix_oracle():
     ms = make_cdp_masks(SeededRng(8), 2, 4, 4)
     x = _rand_complex(SeededRng(9), (4, 4))
-    zf = operator_apply(x, ms, OperatorParams(mode="fixed"))
-    zd = operator_apply(x, ms, OperatorParams.initial("dense", 4, 4))
+    zf = operator_apply_fwd(x, ms, OperatorParams(mode="fixed"))[0]
+    zd = operator_apply_fwd(x, ms, OperatorParams.initial("dense", 4, 4))[0]
     assert np.max(np.abs(zf - zd)) <= 1e-12
     # explicit matrix-multiplication oracle, brute-force DFT matrix
     f2 = _brute_dft2(4, 4)
@@ -154,14 +152,15 @@ def test_adjoint_identity_fixed_mode():
         ms = make_cdp_masks(SeededRng(200 + s), 4, 8, 8)
         x = _rand_complex(rng, (8, 8))
         z = _rand_complex(rng, (4, 8, 8))
-        lhs = np.vdot(operator_apply(x, ms, p), z)
-        rhs = np.vdot(x, operator_adjoint(z, ms, p))
+        lhs = np.vdot(operator_apply_fwd(x, ms, p)[0], z)
+        rhs = np.vdot(x, operator_adjoint_fwd(z, ms, p)[0])
         assert abs(lhs - rhs) <= 1e-12 * np.linalg.norm(x) * np.linalg.norm(z)
 
 
 def test_adjoint_zeros_give_zeros():
     ms = make_cdp_masks(SeededRng(4), 4, 8, 8)
-    out = operator_adjoint(np.zeros((4, 8, 8), dtype=np.complex128), ms, OperatorParams(mode="fixed"))
+    zeros = np.zeros((4, 8, 8), dtype=np.complex128)
+    out = operator_adjoint_fwd(zeros, ms, OperatorParams(mode="fixed"))[0]
     assert np.all(out == 0)
 
 
@@ -169,7 +168,7 @@ def test_single_ones_mask_gives_identity_composition():
     mask = MaskSet(masks=np.ones((1, 8, 8), dtype=np.complex128))
     p = OperatorParams(mode="fixed")
     x = _rand_complex(SeededRng(12), (8, 8))
-    back = operator_adjoint(operator_apply(x, mask, p), mask, p)
+    back = operator_adjoint_fwd(operator_apply_fwd(x, mask, p)[0], mask, p)[0]
     assert np.linalg.norm(back - x) <= 1e-12 * np.linalg.norm(x)
 
 
@@ -179,7 +178,7 @@ def test_per_channel_isometry_and_energy():
         ms = make_cdp_masks(SeededRng(300 + s), 4, 8, 8)
         x = _rand_complex(SeededRng(400 + s), (8, 8))
         nx2 = np.linalg.norm(x) ** 2
-        z = operator_apply(x, ms, p)
+        z = operator_apply_fwd(x, ms, p)[0]
         for j in range(4):
             assert abs(np.linalg.norm(z[j]) ** 2 - nx2) <= 1e-12 * nx2
         assert abs(np.linalg.norm(z) ** 2 - 4 * nx2) <= 1e-12 * 4 * nx2
@@ -193,14 +192,14 @@ def test_dense_guard_rejects_large_fields():
 def test_unknown_mode_rejected():
     ms = make_cdp_masks(SeededRng(1), 1, 4, 4)
     with pytest.raises(ValueError):
-        operator_apply(np.ones((4, 4)), ms, OperatorParams(mode="banana"))
+        operator_apply_fwd(np.ones((4, 4)), ms, OperatorParams(mode="banana"))
 
 
 def test_measure_zero_noise_is_exact_magnitude():
     ms = make_cdp_masks(SeededRng(21), 4, 8, 8)
     x = SeededRng(22).uniform(64).reshape(8, 8)
     mv = measure(x, ms, 0.0, SeededRng(23))
-    z = operator_apply(x, ms, OperatorParams(mode="fixed"))
+    z = operator_apply_fwd(x, ms, OperatorParams(mode="fixed"))[0]
     assert np.array_equal(mv.values, np.abs(z))
     assert mv.alpha == 0.0
 

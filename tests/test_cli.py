@@ -252,6 +252,27 @@ def test_train_rejects_bad_flags(tmp_path, capsys):
     assert "invalid" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag,path,why", [
+    ("--out", "nodir/x", "its directory does not exist"),
+    ("--log", "nodir/x", "its directory does not exist"),
+    ("--out", "data", "it is a directory"),
+    ("--log", "data", "it is a directory"),
+])
+def test_train_checks_output_paths_before_reading_data(tmp_path, capsys, monkeypatch,
+                                                       flag, path, why):
+    data = _gen(tmp_path, seed=8)
+    _forbid(monkeypatch, datakit, "read_manifest")
+    _forbid(monkeypatch, datakit, "build_dataset")
+    paths = {"--out": str(tmp_path / "m.ckpt"), "--log": str(tmp_path / "l.csv")}
+    paths[flag] = str(tmp_path / path)
+    rc = main(["train", "--data", str(data), "--epochs", "1", "--K", "1", "--channels", "1",
+               "--out", paths["--out"], "--log", paths["--log"]])
+    assert rc == 3
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: cannot write %s: %s" % (paths[flag], why)]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data"]
+
+
 def test_train_missing_data_dir(tmp_path):
     rc = main(["train", "--data", str(tmp_path / "absent"),
                "--out", str(tmp_path / "m"), "--epochs", "1"])
@@ -429,8 +450,40 @@ def test_eval_missing_checkpoint(tmp_path):
     assert rc == 3
 
 
+def test_eval_checks_the_csv_directory_before_any_forward(tmp_path, capsys, monkeypatch):
+    data = _gen(tmp_path, count=2, size="16x16", seed=12)
+    ckpt = _train(tmp_path, data, epochs=0)
+    _forbid(monkeypatch, datakit, "build_dataset")
+    _forbid(monkeypatch, network, "net_forward")
+    csv_path = str(tmp_path / "nodir" / "e.csv")
+    capsys.readouterr()
+    rc = main(["eval", "--ckpt", str(ckpt), "--data", str(data), "--csv", csv_path])
+    assert rc == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: cannot write %s: its directory does not exist" % csv_path]
+
+
 # ---------------------------------------------------------------------------
 # reconstruct
+
+def test_reconstruct_checks_the_output_directory_before_any_forward(tmp_path, capsys,
+                                                                     monkeypatch):
+    data = _gen(tmp_path, size="16x16", seed=18)
+    ckpt = _train(tmp_path, data, epochs=0)
+    _forbid(monkeypatch, network, "net_forward")
+    _forbid(monkeypatch, datakit, "load_pgm")
+    out = str(tmp_path / "nodir" / "r.pgm")
+    capsys.readouterr()
+    rc = main(["reconstruct", "--ckpt", str(ckpt), "--input", str(data / "img_0000.pgm"),
+               "--alpha", "27", "--seed", "1", "--out", out])
+    assert rc == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: cannot write %s: its directory does not exist" % out]
+
 
 def test_reconstruct_deterministic(tmp_path, capsys):
     data = _gen(tmp_path, size="16x16", seed=18)
@@ -560,6 +613,13 @@ def test_public_names_resolve_and_the_readme_import_runs():
     exec(line, names)
     documented = re.findall(r"\w+", line.split("(", 1)[1])
     assert documented and set(documented) <= set(names) & set(unrollpr.__all__)
+    # the whole block runs, on a two-image set of the shape it measures
+    block = re.search(r"^```python\n(.*?)^```", example, re.M | re.S).group(1)
+    records = [datakit.SampleRecord(alpha=27.0, mask_seed=7, synth_seed=s) for s in (1, 2)]
+    dataset = datakit.build_dataset(datakit.DatasetManifest(32, 32, 5, 4, records))
+    scope = {"img": dataset[0][0], "dataset": dataset}
+    exec(block, scope)
+    assert len(scope["history"]) == 30 and scope["state"].step == 31
 
 
 def _record_forward_sizes(monkeypatch):

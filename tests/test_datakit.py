@@ -90,6 +90,14 @@ def test_pgm_saving_clips_out_of_range(tmp_path):
     assert np.array_equal(img, np.array([[0.0, 1.0]]))
 
 
+def test_atomic_write_into_a_missing_directory_names_the_target(tmp_path):
+    path = str(tmp_path / "nodir" / "x.pgm")
+    with pytest.raises(FileNotFoundError) as info:
+        datakit.atomic_write(path, b"x")
+    assert info.value.filename == path and ".tmp-" not in str(info.value)
+    assert str(info.value).endswith(repr(path))
+
+
 def test_pgm_comments_and_whitespace_tolerated(tmp_path):
     p = tmp_path / "d.pgm"
     raster = bytes([0, 128, 255, 64])

@@ -26,7 +26,6 @@ from unrollpr.training import (
     init_adam,
     loss_mse,
     lr_schedule,
-    train,
     train_full,
 )
 
@@ -97,6 +96,8 @@ def test_loss_empty_batch_rejected():
 def test_loss_shape_mismatch_rejected():
     with pytest.raises(ValueError):
         loss_mse([np.zeros((4, 4))], [np.zeros((8, 8))])
+    with pytest.raises(ValueError):  # a ragged batch
+        loss_mse([np.zeros((4, 4)), np.zeros((8, 8))], [np.zeros((4, 4))] * 2)
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +216,7 @@ def _tiny_net(seed=3):
 
 
 def _zero_grads(net):
-    return {name: np.zeros_like(arr) for name, arr in net.tensors()}
+    return network.Arena(net.arena.slots)
 
 
 def test_adam_zero_gradient_keeps_parameters_bitwise():
@@ -231,7 +232,7 @@ def test_adam_first_step_hand_value():
     net = _tiny_net()
     before = float(net.stages[0].step_size)
     grads = _zero_grads(net)
-    grads["stage0.step_size"] = np.array(1.0)
+    grads["stage0.step_size"][...] = 1.0
     adam_update(net, grads, init_adam(net), 0.01)
     delta = float(net.stages[0].step_size) - before
     assert abs(delta + 0.01 / (1.0 + 1e-8)) <= 1e-12
@@ -242,7 +243,7 @@ def test_adam_first_step_is_signed_learning_rate():
         net = _tiny_net()
         before = float(net.stages[0].step_size)
         grads = _zero_grads(net)
-        grads["stage0.step_size"] = np.array(g)
+        grads["stage0.step_size"][...] = g
         adam_update(net, grads, init_adam(net), 0.01)
         delta = float(net.stages[0].step_size) - before
         assert abs(delta + 0.01 * np.sign(g)) <= 1e-6 * 0.01
@@ -254,7 +255,7 @@ def test_adam_first_step_scale_invariance():
         net = _tiny_net()
         before = float(net.stages[0].step_size)
         grads = _zero_grads(net)
-        grads["stage0.step_size"] = np.array(g)
+        grads["stage0.step_size"][...] = g
         adam_update(net, grads, init_adam(net), 0.01)
         deltas.append(float(net.stages[0].step_size) - before)
     assert abs(deltas[0] - deltas[1]) <= 1e-5 * abs(deltas[0])
@@ -266,7 +267,7 @@ def test_adam_updates_complex_parameters_in_real_coordinates():
     grads = _zero_grads(net)
     g = np.zeros((2, 2), dtype=np.complex128)
     g[0, 0] = 1.0 - 2.0j  # dL/dRe = 1, dL/dIm = -2
-    grads["stage0.op.gain"] = g
+    grads["stage0.op.gain"][...] = g
     before = net.stages[0].op.gain.copy()
     adam_update(net, grads, init_adam(net), 0.01)
     moved = net.stages[0].op.gain - before
@@ -279,7 +280,7 @@ def test_adam_shape_mismatch_rejected():
     net = _tiny_net()
     grads = _zero_grads(net)
     grads["stage0.step_size"] = np.zeros(3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^stage0\.step_size gradient is not a view"):
         adam_update(net, grads, init_adam(net), 0.01)
 
 
@@ -287,8 +288,18 @@ def test_adam_missing_gradient_rejected():
     net = _tiny_net()
     grads = _zero_grads(net)
     del grads["stage0.step_size"]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^stage0\.step_size gradient is not a view"):
         adam_update(net, grads, init_adam(net), 0.01)
+
+
+def test_adam_rejects_gradients_given_as_a_dict():
+    net = _tiny_net()
+    state = init_adam(net)
+    before = net.arena.flat.copy()
+    grads = {name: np.zeros_like(arr) for name, arr in net.tensors()}
+    with pytest.raises(ValueError, match=r"^stage0\.step_size gradient is not a view"):
+        adam_update(net, grads, state, 0.01)
+    assert state.step == 0 and net.arena.flat.tobytes() == before.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +331,7 @@ def test_lr_schedule_rejects_negative_epoch():
 def test_train_zero_epochs_returns_initialization():
     ds = _toy_dataset(6, 8, 8, seed=10)
     cfg = TrainConfig(epochs=0, batch_size=3, seed=77, num_stages=2, channels=2)
-    net, history = train(ds, cfg)
+    net, history, _ = train_full(ds, cfg)
     assert history == []
     ref = init_net(8, 8, num_stages=2, channels=2, num_masks=4,
                    mode="structured", rng=derive_rng(77, STREAM_INIT))
@@ -329,9 +340,30 @@ def test_train_zero_epochs_returns_initialization():
         assert np.array_equal(a1, a2)
 
 
+@pytest.mark.parametrize("field,value,err", [
+    ("lr", -1e-3, "lr=-0.001"), ("lr", float("nan"), "lr=nan"), ("epochs", -1, "epochs=-1"),
+    ("batch_size", 0, "batch_size=0"), ("threads", 0, "threads=0"), ("mode", "banana", "mode="),
+    ("num_stages", 0, "K=0 outside"), ("channels", 1025, "c=1025 outside"),
+    ("num_masks", 0, "J=0 outside"),
+])
+def test_train_checks_its_config_before_reading_data(monkeypatch, field, value, err):
+    monkeypatch.setattr(training, "stack_dataset", None)  # a TypeError if the data is read
+    cfg = TrainConfig(epochs=1, batch_size=2, num_stages=1, channels=1)
+    setattr(cfg, field, value)
+    with pytest.raises(ValueError, match="^invalid training config: " + re.escape(err)):
+        train_full(_toy_dataset(2, 8, 8, seed=11), cfg)
+
+
+def test_train_rejects_a_mask_count_unlike_the_data(monkeypatch):
+    monkeypatch.setattr(network, "init_net", None)  # a TypeError if a network is built
+    cfg = TrainConfig(epochs=1, batch_size=2, num_stages=1, channels=1, num_masks=2)
+    with pytest.raises(ValueError, match=r"num_masks=2, the measurements hold J=4 masks"):
+        train_full(_toy_dataset(2, 8, 8, seed=11), cfg)
+
+
 def test_train_empty_dataset_rejected():
     with pytest.raises(ValueError):
-        train([], TrainConfig(epochs=1))
+        train_full([], TrainConfig(epochs=1))
 
 
 def test_train_accepts_masks_without_a_seed():
@@ -341,7 +373,8 @@ def test_train_accepts_masks_without_a_seed():
     img = dataset[1][0]
     dataset[1] = (img, cdp.measure(img, masks, 27.0, SeededRng(42)))
     assert np.array_equal(datakit.stack_dataset(dataset)[2][1], masks.masks)
-    _, history = train(dataset, TrainConfig(epochs=1, batch_size=2, num_stages=1, channels=1))
+    cfg = TrainConfig(epochs=1, batch_size=2, num_stages=1, channels=1)
+    _, history, _ = train_full(dataset, cfg)
     assert np.isfinite(history[0])
 
 
@@ -350,7 +383,7 @@ def test_train_rejects_measurements_without_masks():
     img, mv = dataset[1]
     dataset[1] = (img, cdp.MeasurementVector(mv.values, mv.alpha, mv.mask_seed))
     with pytest.raises(ValueError, match="sample 1 "):
-        train(dataset, TrainConfig(epochs=1, batch_size=2, num_stages=1, channels=1))
+        train_full(dataset, TrainConfig(epochs=1, batch_size=2, num_stages=1, channels=1))
 
 
 def test_training_and_eval_build_no_masks_after_the_dataset(tmp_path, monkeypatch, capsys):
@@ -395,7 +428,7 @@ def test_train_deterministic_checkpoints(tmp_path):
 def test_train_loss_history_finite_and_decreasing_trend():
     ds = _toy_dataset(12, 8, 8, seed=30)
     cfg = TrainConfig(epochs=4, batch_size=4, seed=6, num_stages=2, channels=2)
-    _, history = train(ds, cfg)
+    _, history, _ = train_full(ds, cfg)
     assert len(history) == 4
     assert all(np.isfinite(history))
     assert history[-1] < history[0]
@@ -458,14 +491,14 @@ def test_train_fixed_mode_has_no_operator_tensors():
     ds = _toy_dataset(6, 8, 8, seed=40)
     cfg = TrainConfig(epochs=1, batch_size=3, seed=8, num_stages=2,
                       channels=2, mode="fixed")
-    net, _ = train(ds, cfg)
+    net, _, _ = train_full(ds, cfg)
     names = [n for n, _ in net.tensors()]
     assert not any(".op." in n for n in names)
     # and the effective operator still equals the physical one
     ms = cdp.make_cdp_masks(SeededRng(41), 4, 8, 8)
     x = SeededRng(42).uniform(64).reshape(8, 8)
-    za = cdp.operator_apply(x, ms, net.stages[0].op)
-    zb = cdp.operator_apply(x, ms, cdp.OperatorParams(mode="fixed"))
+    za = cdp.operator_apply_fwd(x, ms, net.stages[0].op)[0]
+    zb = cdp.operator_apply_fwd(x, ms, cdp.OperatorParams(mode="fixed"))[0]
     assert np.array_equal(za, zb)
 
 
@@ -473,7 +506,7 @@ def test_train_csv_log(tmp_path):
     ds = _toy_dataset(6, 8, 8, seed=50)
     log = tmp_path / "log.csv"
     cfg = TrainConfig(epochs=3, batch_size=3, seed=9, num_stages=2, channels=2)
-    _, history = train(ds, cfg, log_path=str(log))
+    _, history, _ = train_full(ds, cfg, log_path=str(log))
     lines = log.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "epoch,lr,train_loss,val_psnr,val_ssim,seconds"
     assert len(lines) == 4
@@ -490,7 +523,7 @@ def test_train_with_validation_writes_metrics(tmp_path):
     dval = _toy_dataset(3, 16, 16, seed=61)
     log = tmp_path / "log.csv"
     cfg = TrainConfig(epochs=2, batch_size=3, seed=11, num_stages=2, channels=2)
-    train(ds, cfg, val_dataset=dval, log_path=str(log))
+    train_full(ds, cfg, val_dataset=dval, log_path=str(log))
     rows = log.read_text(encoding="utf-8").splitlines()[1:]
     for row in rows:
         cells = row.split(",")
@@ -517,7 +550,7 @@ def test_validation_scores_in_bounded_chunks(tmp_path, monkeypatch):
     for block in (3, 8):
         monkeypatch.setattr(network, "_BLOCK_BYTES", block * 16 * 16 * (16 * j + 8 * c))
         log = tmp_path / ("block%d.csv" % block)
-        train(ds, cfg, val_dataset=dval, log_path=str(log))
+        train_full(ds, cfg, val_dataset=dval, log_path=str(log))
         logs.append([row.rsplit(",", 1)[0] for row in log.read_text().splitlines()])
     assert sizes == [3, 3, 2, 8]
     assert logs[0] == logs[1] and logs[0][1].split(",")[3]
@@ -530,7 +563,8 @@ def test_validation_shape_is_checked_before_the_first_step(monkeypatch):
     monkeypatch.setattr(training, "_chunk_grads", step)
     cfg = TrainConfig(epochs=1, batch_size=2, seed=0, num_stages=1, channels=2)
     with pytest.raises(ValueError, match=r"validation measurements .*\(4, 32, 32\)"):
-        train(_toy_dataset(2, 16, 16, seed=64), cfg, val_dataset=_toy_dataset(2, 32, 32, seed=65))
+        train_full(_toy_dataset(2, 16, 16, seed=64), cfg,
+                   val_dataset=_toy_dataset(2, 32, 32, seed=65))
 
 
 def test_tied_adjoint_reduces_tensor_count():
