@@ -171,16 +171,6 @@ def _modulate(x, masks):
     return masks * x[..., None, :, :]
 
 
-def as_mask_set(mask_set):
-    """A MaskSet as is; a raw (..., J, h, w) mask array wrapped in one.
-
-    Passing the same MaskSet to several calls conjugates its masks once.
-    """
-    if isinstance(mask_set, MaskSet):
-        return mask_set
-    return MaskSet(np.asarray(mask_set))
-
-
 def _matmul(v, m):
     """m applied to each flattened (h, w) field of v; returns (m v, flat v).
 
@@ -215,13 +205,13 @@ def _gain_grad(v, dout):
 def operator_apply_fwd(x, mask_set, params):
     """W x for a real or complex field x of shape (..., h, w).
 
-    Returns (z, cache) with z of shape (..., J, h, w).  ``mask_set`` may be
-    a MaskSet or a raw (..., J, h, w) array (batched per-sample masks).
+    Returns (z, cache) with z of shape (..., J, h, w).  ``mask_set`` is a
+    :class:`MaskSet` whose (J, h, w) or (B, J, h, w) masks broadcast against
+    x; passing the same set to several calls conjugates its masks once.
     """
-    ms = as_mask_set(mask_set)
-    u = _modulate(np.asarray(x), ms.masks)
+    u = _modulate(np.asarray(x), mask_set.masks)
     g = params._tensor(adjoint=False)
-    cache = {"mode": params.mode, "conj_masks": ms.conj, "g": g}
+    cache = {"mode": params.mode, "conj_masks": mask_set.conj, "g": g}
     if params.mode == "dense":
         z, cache["uf"] = _matmul(u, g)
     else:  # the FFT, then the gain if there is one
@@ -251,14 +241,14 @@ def operator_apply_vjp(dz, cache):
 
 
 def operator_adjoint_fwd(z, mask_set, params):
-    """W^H z (learned adjoint) for z of shape (..., J, h, w).
+    """W^H z (learned adjoint) for z of shape (..., J, h, w) through the
+    :class:`MaskSet` ``mask_set``.
 
     Returns (s, cache) with s of shape (..., h, w), complex.
     """
-    ms = as_mask_set(mask_set)
     z = np.asarray(z)
     a = params._tensor(adjoint=True)
-    cache = {"mode": params.mode, "masks": ms.masks, "a": a, "tied": params.tie_adjoint}
+    cache = {"mode": params.mode, "masks": mask_set.masks, "a": a, "tied": params.tie_adjoint}
     if params.mode == "dense":
         q, cache["zf"] = _matmul(z, a)
     else:  # the gain if there is one, then the inverse FFT
@@ -266,7 +256,7 @@ def operator_adjoint_fwd(z, mask_set, params):
             cache["z"] = z
             z = a * z
         q = ifft2_unitary(z)
-    s = np.sum(ms.conj * q, axis=-3)
+    s = np.sum(mask_set.conj * q, axis=-3)
     return s, cache
 
 

@@ -1,7 +1,8 @@
 """Command-line surface: gen-data, train, eval, reconstruct, selfcheck.
 
 Exit codes: 0 success, 1 selfcheck failure, 2 usage error (training that
-diverges included), 3 I/O error, 4 shape/compatibility error.  Every output
+diverges included), 3 I/O error, 4 shape/compatibility error; codes 2-4
+print one ``error:`` line.  Every output
 file is written atomically, into a directory checked before any work.  All
 randomness flows from the --seed flags through named streams, so each
 command's outputs are reproducible from its flags alone.
@@ -17,7 +18,7 @@ import sys
 import numpy as np
 
 from . import cdp, datakit, metrics, network, selfcheck, training
-from .errors import FormatError
+from .errors import FormatError, ShapeError
 from .field import STREAM_MASKS_TEST, STREAM_NOISE, cap_error, derive_rng
 
 EXIT_OK = 0
@@ -100,28 +101,17 @@ def cmd_train(args):
     return EXIT_OK
 
 
-def _check_compat(net, manifest):
-    want = (net.height, net.width, net.num_masks)
-    have = (manifest.height, manifest.width, manifest.num_masks)
-    if want != have:
-        print(
-            "checkpoint expects %dx%d with %d masks, data is %dx%d with %d masks"
-            % (want[0], want[1], want[2], have[0], have[1], have[2]),
-            file=sys.stderr,
-        )
-        return False
-    return True
-
-
 def cmd_eval(args):
     _check_out_paths(args.csv)
     net, _ = training.checkpoint_load(args.ckpt)
     manifest = _read_dir(args.data)
     if manifest.count == 0:
-        print("data directory is empty", file=sys.stderr)
-        return EXIT_IO
-    if not _check_compat(net, manifest):
-        return EXIT_SHAPE
+        raise FormatError("data directory is empty")
+    want = (net.height, net.width, net.num_masks)
+    have = (manifest.height, manifest.width, manifest.num_masks)
+    if want != have:
+        raise ShapeError("checkpoint expects %dx%d with %d masks, data is %dx%d with %d masks"
+                         % (want + have))
     metrics.check_ssim_shape((manifest.height, manifest.width))
     dataset = datakit.build_dataset(manifest, base_dir=args.data)
     images, ys, masks = datakit.stack_dataset(dataset)
@@ -143,26 +133,20 @@ def cmd_eval(args):
 
 def cmd_reconstruct(args):
     if not 0 <= args.alpha < math.inf:
-        print("alpha must be finite and nonnegative", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("alpha must be finite and nonnegative, got %r" % args.alpha)
     _check_out_paths(args.out)
     net, _ = training.checkpoint_load(args.ckpt)
     img = datakit.load_pgm(args.input)
     if img.shape != (net.height, net.width):
-        print(
-            "checkpoint expects %dx%d, input image is %dx%d"
-            % (net.height, net.width, img.shape[0], img.shape[1]),
-            file=sys.stderr,
-        )
-        return EXIT_SHAPE
+        raise ShapeError("checkpoint expects %dx%d, input image is %dx%d"
+                         % ((net.height, net.width) + img.shape))
     mask_seed = int(derive_rng(args.seed, STREAM_MASKS_TEST, 0).integers(0, 2 ** 62))
     masks = cdp.masks_from_seed(mask_seed, net.num_masks, net.height, net.width)
     y = cdp.measure(img, masks, args.alpha, derive_rng(args.seed, STREAM_NOISE, 0))
-    x, _ = network.net_forward(y, masks, net)
-    datakit.save_pgm(np.clip(x, 0.0, 1.0), args.out)
-    print("reconstructed %s -> %s, psnr=%s" % (
-        args.input, args.out, _fmt(metrics.psnr(np.clip(x, 0.0, 1.0), img))
-    ))
+    _, ys, ms = datakit.stack_dataset([(img, y)])  # a batch of one
+    x = np.clip(network.net_forward(ys, ms, net)[0][0], 0.0, 1.0)
+    datakit.save_pgm(x, args.out)
+    print("reconstructed %s -> %s, psnr=%s" % (args.input, args.out, _fmt(metrics.psnr(x, img))))
     return EXIT_OK
 
 
@@ -242,12 +226,12 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except FormatError as e:
+    except (FormatError, OSError) as e:
         print("error: %s" % e, file=sys.stderr)
         return EXIT_IO
-    except OSError as e:
+    except ShapeError as e:
         print("error: %s" % e, file=sys.stderr)
-        return EXIT_IO
+        return EXIT_SHAPE
     except (ValueError, FloatingPointError) as e:  # bad input, or training diverged
         print("error: %s" % e, file=sys.stderr)
         return EXIT_USAGE

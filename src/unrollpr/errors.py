@@ -1,4 +1,4 @@
-"""Shared error types for file parsing and checkpoint handling."""
+"""Shared error types for file parsing, checkpoint handling and shapes."""
 
 
 class FormatError(ValueError):
@@ -18,3 +18,7 @@ class UnsupportedFormatError(FormatError):
 
 class UnsupportedVersionError(FormatError):
     """Valid container with a version number we cannot read."""
+
+
+class ShapeError(ValueError):
+    """Well-formed input whose shape the model it meets cannot take."""

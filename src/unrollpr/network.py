@@ -17,11 +17,12 @@ Each stage block is a (forward, vjp) pair sharing a cache: ``sgd_step_fwd``
 / ``sgd_step_bwd`` and ``ppm_fwd`` / ``ppm_bwd``, batched over (B, h, w)
 images.  Each VJP adds its parameter cotangents into its stage of a zero
 network built like the parameters and returns the input cotangent.
-``net_forward(..., record=True)`` records a per-stage tape that the
-training module walks backwards; without ``record`` (inference) no cache
-outlives its stage, and the stages run over blocks of :func:`block_size`
-images, small enough to stay in cache.  That block is also the task that
-``training.forward_chunked`` hands to each process.
+``net_forward`` takes one input form, a stacked (B, J, h, w) batch.  With
+``record=True`` it records a per-stage tape that the training module walks
+backwards; without ``record`` (inference) no cache outlives its stage, and
+the stages run over blocks of :func:`block_size` images, small enough to
+stay in cache.  That block is also the task that ``training.forward_chunked``
+hands to each process.
 """
 
 import math
@@ -249,18 +250,6 @@ def init_net(h, w, num_stages=7, channels=32, num_masks=4, mode="structured",
 
 
 # ---------------------------------------------------------------------------
-# shape plumbing
-
-def _batched_meas(y):
-    vals = np.asarray(getattr(y, "values", y), dtype=np.float64)
-    if vals.ndim == 3:
-        return vals[None], True
-    if vals.ndim == 4:
-        return vals, False
-    raise ValueError("expected (J, h, w) or (batch, J, h, w) measurements")
-
-
-# ---------------------------------------------------------------------------
 # data-fidelity step
 
 def sgd_step_fwd(x, stage, y, masks):
@@ -292,7 +281,7 @@ def sgd_step_bwd(dr, cache, g):
     # at or below eps the phase is linear and dz += dph / eps.
     ph, mag, y = cache["ph"], cache["mag"], cache["y"]
     small = mag <= PHASE_EPS
-    dres_small, y_small = dz[small], np.broadcast_to(y, mag.shape)[small]
+    dres_small, y_small = dz[small], y[small]
     re, im = dz.real, dz.imag  # views: dz is a fresh array, updated in place
     c = re * ph.imag
     c -= im * ph.real
@@ -404,54 +393,44 @@ def _run_stages(x, y, ms, params, caches=None):
     return x
 
 
-def net_forward(y, masks, params, x0=None, *, record=False):
-    """Run all stages; returns (reconstruction, tape).
+def net_forward(ys, masks, params, x0=None, *, record=False):
+    """Run all stages over a stacked batch; returns (reconstruction, tape).
 
-    y is a MeasurementVector or raw values array, (J, h, w) or batched
-    (B, J, h, w); masks is a MaskSet or array broadcastable to y's shape;
-    x0 defaults to the all-ones image.  ``record`` keeps every stage's
-    caches on the tape, as :func:`net_backward_from_output` needs.  Without
-    it the tape holds only x0 and the output, and the stages run over blocks
-    of :func:`block_size` images written into one output array.
+    ``ys`` holds (B, J, h, w) measurement values and ``masks`` the
+    (B, J, h, w) masks each image was measured through, as
+    ``datakit.stack_dataset`` stacks them; ``x0`` is a (B, h, w) start, the
+    all-ones images by default.  The reconstruction is (B, h, w).
+    ``record`` keeps every stage's caches on the tape, as
+    :func:`net_backward_from_output` needs.  Without it the tape holds only
+    x0 and the output, and the stages run over blocks of :func:`block_size`
+    images written into one output array.
     """
-    yb, squeezed = _batched_meas(y)
-    b = yb.shape[0]
-    h, w = params.height, params.width
-    if yb.shape[1] != params.num_masks or yb.shape[2:] != (h, w):
+    j, h, w = params.num_masks, params.height, params.width
+    b = len(ys) if np.ndim(ys) == 4 else 0
+    want = (b, j, h, w)
+    if np.shape(ys) != want or np.shape(masks) != want or \
+            (x0 is not None and np.shape(x0) != (b, h, w)):
         raise ValueError(
-            "measurements %r do not match network (J=%d, %dx%d)"
-            % (yb.shape, params.num_masks, h, w)
-        )
-    ms = cdp.as_mask_set(masks)
-    if ms.masks.shape[-3:] != (params.num_masks, h, w):
-        raise ValueError("mask shape %r does not match network" % (ms.masks.shape,))
-    if ms.masks.shape[:-3] not in ((), (1,), (b,)):
-        raise ValueError("%d mask sets for %d measurements" % (len(ms.masks), b))
-    if x0 is None:
-        xb = np.ones((b, h, w))
-    else:
-        xb = np.asarray(x0, dtype=np.float64)
-        if xb.shape in ((h, w), (1, h, w)):
-            xb = np.broadcast_to(xb, (b, h, w)).copy()
-        if xb.shape != (b, h, w):
-            raise ValueError("x0 shape %r does not match batch" % (xb.shape,))
+            "net_forward takes (B, J, h, w) values and masks and an optional (B, h, w) x0, "
+            "with (J, h, w) = (%d, %d, %d) for this network; got values %r, masks %r, x0 %r"
+            % (j, h, w, np.shape(ys), np.shape(masks), x0 if x0 is None else np.shape(x0)))
+    ys, masks = np.asarray(ys, dtype=np.float64), np.asarray(masks)
+    xb = np.ones((b, h, w)) if x0 is None else np.asarray(x0, dtype=np.float64)
     caches = []
     if record:
-        x = _run_stages(xb, yb, ms, params, caches)
+        x = _run_stages(xb, ys, cdp.MaskSet(masks), params, caches)
     else:
         x = np.empty((b, h, w))
-        per_image = ms.masks.shape[:-3] == (b,)
         n = block_size(params)
         for i in range(0, b, n):
             s = slice(i, i + n)
-            block_ms = cdp.as_mask_set(ms.masks[s]) if per_image else ms
-            x[s] = _run_stages(xb[s], yb[s], block_ms, params)
-    tape = ForwardTape(params=params, stage_caches=caches, x0=xb, output=x)
-    return (x[0] if squeezed else x), tape
+            x[s] = _run_stages(xb[s], ys[s], cdp.MaskSet(masks[s]), params)
+    return x, ForwardTape(params=params, stage_caches=caches, x0=xb, output=x)
 
 
-def net_backward_from_output(tape, dout):
-    """Walk the tape in reverse given dL/d(output); returns (grads, dx).
+def net_backward_from_output(tape, dx):
+    """Walk the tape in reverse given dx = dL/d(output), (B, h, w); returns
+    (grads, dL/d(x0)).
 
     The stage VJPs add into a zero network built like the parameters, so a
     shared operator sums at stage 0.  ``grads`` is its :class:`Arena`;
@@ -461,7 +440,6 @@ def net_backward_from_output(tape, dout):
     if len(tape.stage_caches) != p.num_stages:
         raise ValueError("the tape holds no stage caches: run net_forward(..., record=True) "
                          "before a backward pass")
-    dx = dout if dout.ndim == 3 else dout[None]
     grads = build_net(p.height, p.width, p.num_stages, p.channels, p.num_masks, p.mode,
                       p.tie_adjoint, p.share_operator)
     for (c_sgd, c_ppm), g in zip(reversed(tape.stage_caches), reversed(grads.stages)):

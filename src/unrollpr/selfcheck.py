@@ -8,7 +8,7 @@ finite-difference gradient check and the convex-solver cross-check.
 
 import numpy as np
 
-from . import baselines, cdp, network, training
+from . import baselines, cdp, datakit, network, training
 from .field import SeededRng, fft2_unitary, ifft2_unitary
 
 
@@ -17,8 +17,8 @@ def _rand_complex(rng, shape):
     return (rng.normal(n) + 1j * rng.normal(n)).reshape(shape)
 
 
-def _loss_of(net, y, masks, truth):
-    x, _ = network.net_forward(y, masks, net)
+def _loss_of(net, ys, masks, truth):
+    x, _ = network.net_forward(ys, masks, net)
     return training.loss_mse(x, truth)
 
 
@@ -85,8 +85,9 @@ def check_adam_first_step():
     return "adam-first-step", worst, 1e-6, worst <= 1e-6
 
 
-def fd_gradients(net, y, masks, truth, h=1e-6):
-    """Central finite differences over every real coordinate of every tensor."""
+def fd_gradients(net, ys, masks, truth, h=1e-6):
+    """Central finite differences over every real coordinate of every
+    tensor, for a stacked batch as :func:`network.net_forward` takes it."""
     out = {}
     for name, arr in net.tensors():
         flat = arr.view(np.float64).reshape(-1)
@@ -94,20 +95,20 @@ def fd_gradients(net, y, masks, truth, h=1e-6):
         for i in range(flat.size):
             keep = flat[i]
             flat[i] = keep + h
-            lp = _loss_of(net, y, masks, truth)
+            lp = _loss_of(net, ys, masks, truth)
             flat[i] = keep - h
-            lm = _loss_of(net, y, masks, truth)
+            lm = _loss_of(net, ys, masks, truth)
             flat[i] = keep
             g[i] = (lp - lm) / (2.0 * h)
         out[name] = g
     return out
 
 
-def grad_error_by_tensor(net, y, masks, truth):
+def grad_error_by_tensor(net, ys, masks, truth):
     """Relative error between analytic and finite-difference gradients."""
-    x, tape = network.net_forward(y, masks, net, record=True)
+    x, tape = network.net_forward(ys, masks, net, record=True)
     analytic = training.backward(tape, truth)
-    fd = fd_gradients(net, y, masks, truth)
+    fd = fd_gradients(net, ys, masks, truth)
     errs = {}
     for name in fd:
         ga = analytic[name].view(np.float64).reshape(-1)
@@ -118,7 +119,8 @@ def grad_error_by_tensor(net, y, masks, truth):
 
 
 def _small_instance(seed=42):
-    """Tiny net at a generic parameter point for derivative checks.
+    """Tiny net at a generic parameter point for derivative checks, and a
+    batch of one image for it: values, masks and truth, stacked.
 
     The init point itself is nondifferentiable (zero biases put ReLU
     inputs exactly at the kink once the threshold zeroes the code), so
@@ -129,6 +131,7 @@ def _small_instance(seed=42):
     truth = rng.uniform(64).reshape(8, 8)
     masks = cdp.make_cdp_masks(SeededRng(seed + 1), 2, 8, 8)
     y = cdp.measure(truth, masks, 27.0, SeededRng(seed + 2))
+    truth, ys, masks = datakit.stack_dataset([(truth, y)])
     net = network.init_net(8, 8, num_stages=2, channels=2, num_masks=2,
                            mode="structured", rng=SeededRng(seed + 3))
     prng = SeededRng(seed + 4)
@@ -140,12 +143,12 @@ def _small_instance(seed=42):
                 b += 0.05 + 0.1 * prng.uniform(b.size).reshape(b.shape)
         st.op.gain += 0.05 * _rand_complex(prng, (8, 8))
         st.op.adj_gain += 0.05 * _rand_complex(prng, (8, 8))
-    return net, y, masks, truth
+    return net, ys, masks, truth
 
 
 def check_gradient_fd():
-    net, y, masks, truth = _small_instance()
-    errs = grad_error_by_tensor(net, y, masks, truth)
+    net, ys, masks, truth = _small_instance()
+    errs = grad_error_by_tensor(net, ys, masks, truth)
     worst = max(errs.values())
     return "gradient-fd", worst, 1e-5, worst <= 1e-5
 

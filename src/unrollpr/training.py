@@ -92,14 +92,12 @@ def backward(tape, truth, batch_scale=None):
     """Gradient of the mean-squared loss w.r.t. every network tensor, as an
     arena laid out like the parameters (``network.net_backward_from_output``).
 
-    ``truth`` matches the tape's output shape.  ``batch_scale`` overrides
-    the sample count in the loss normalization, which lets a batch be
-    evaluated in chunks whose gradients sum to the full-batch gradient.
+    ``truth`` is the (B, h, w) batch of the tape's output.  ``batch_scale``
+    overrides the sample count in the loss normalization, which lets a batch
+    be evaluated in chunks whose gradients sum to the full-batch gradient.
     """
     out = tape.output
     t = np.asarray(truth, dtype=np.float64)
-    if t.ndim == 2:
-        t = t[None]
     if t.shape != out.shape:
         raise ValueError("truth shape %r does not match tape %r" % (t.shape, out.shape))
     b = out.shape[0] if batch_scale is None else batch_scale
@@ -391,7 +389,7 @@ def _csv_num(x):
     return repr(float(x))
 
 
-def train_full(dataset, config, net=None, val_dataset=None, log_path=None):
+def train_full(dataset, config, val_dataset=None, log_path=None):
     """Seeded mini-batch training; returns (params, per-epoch loss history,
     final Adam state).
 
@@ -399,11 +397,12 @@ def train_full(dataset, config, net=None, val_dataset=None, log_path=None):
     were generated by the fixed operator (:func:`cdp.measure`); each
     measurement's own masks are the ones the network reconstructs through,
     and ``val_dataset`` likewise.  ``config.check()`` runs before any data
-    is read.  Bit-deterministic for a given config and dataset at each
-    thread count.  ``config.threads`` sets how many chunks each batch is
-    split into (and how many run at once, the extra ones in worker
-    processes), so the gradient sum order, and with it the result at
-    rounding level, differs between thread counts.
+    is read, and ``config`` alone describes the network, which starts from
+    ``network.init_net`` seeded by ``config.seed``.  Bit-deterministic for a
+    given config and dataset at each thread count.  ``config.threads`` sets
+    how many chunks each batch is split into (and how many run at once, the
+    extra ones in worker processes), so the gradient sum order, and with it
+    the result at rounding level, differs between thread counts.
     """
     config.check()
     if len(dataset) == 0:
@@ -417,13 +416,12 @@ def train_full(dataset, config, net=None, val_dataset=None, log_path=None):
     if config.num_masks != j:
         raise ValueError("config.num_masks=%d, the measurements hold J=%d masks"
                          % (config.num_masks, j))
-    if net is None:
-        net = network.init_net(
-            h, w, num_stages=config.num_stages, channels=config.channels,
-            num_masks=j, mode=config.mode, tie_adjoint=config.tie_adjoint,
-            share_operator=config.share_operator,
-            rng=derive_rng(config.seed, STREAM_INIT),
-        )
+    net = network.init_net(
+        h, w, num_stages=config.num_stages, channels=config.channels,
+        num_masks=j, mode=config.mode, tie_adjoint=config.tie_adjoint,
+        share_operator=config.share_operator,
+        rng=derive_rng(config.seed, STREAM_INIT),
+    )
     # validation runs this net: a set it cannot take fails before any epoch runs
     if val_pack and val_pack[1].shape[1:] != (net.num_masks, net.height, net.width):
         raise ValueError(

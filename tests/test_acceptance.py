@@ -107,6 +107,7 @@ def _generic_instance():
     truth = rng.uniform(64).reshape(8, 8)
     masks = cdp.make_cdp_masks(SeededRng(43), 2, 8, 8)
     y = cdp.measure(truth, masks, 27.0, SeededRng(44))
+    truth, y, masks = datakit.stack_dataset([(truth, y)])
     net = init_net(8, 8, num_stages=2, channels=2, num_masks=2,
                    mode="structured", rng=SeededRng(45))
     j = SeededRng(46)

@@ -32,8 +32,8 @@ def _net(mode, tie, share, seed=1):
 def _grads(net, seed):
     """A backward pass of ``net`` on a random two-image batch."""
     rng = SeededRng(seed)
-    masks = cdp.masks_from_seed(seed, 2, 4, 4)
     y = np.abs(rng.normal(2 * 2 * 16)).reshape(2, 2, 4, 4)
+    masks = np.broadcast_to(cdp.masks_from_seed(seed, 2, 4, 4).masks, y.shape)
     _, tape = net_forward(y, masks, net, record=True)
     return backward(tape, rng.uniform(2 * 16).reshape(2, 4, 4))
 

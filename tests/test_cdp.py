@@ -115,8 +115,8 @@ def test_dense_caches_rows_of_one_gemm():
     # the modulated field as one 2-D (B*J, N) view of its (B, J, h, w) buffer
     b, j, h = 3, 2, 4
     x, z, masks, p = _dense_case(b, j, h)
-    _, ca = operator_apply_fwd(x, masks, p)
-    _, cs = operator_adjoint_fwd(z, masks, p)
+    _, ca = operator_apply_fwd(x, MaskSet(masks), p)
+    _, cs = operator_adjoint_fwd(z, MaskSet(masks), p)
     assert ca["uf"].shape == (b * j, h * h) and ca["uf"].base.shape == (b, j, h, h)
     assert np.array_equal(ca["uf"].base, masks * x[:, None])
     assert cs["zf"].shape == (b * j, h * h) and np.shares_memory(cs["zf"], z)
@@ -129,8 +129,8 @@ def test_dense_one_mask_bitwise_invariant_to_batch():
     x, z, masks, p = _dense_case(b, 1, h)
 
     def run(s):
-        w, ca = operator_apply_fwd(x[s], masks[s], p)
-        a, cs = operator_adjoint_fwd(z[s], masks[s], p)
+        w, ca = operator_apply_fwd(x[s], MaskSet(masks[s]), p)
+        a, cs = operator_adjoint_fwd(z[s], MaskSet(masks[s]), p)
         return w, a, operator_apply_vjp(z[s], ca)[0], operator_adjoint_vjp(x[s], cs)[0]
 
     whole = run(slice(None))

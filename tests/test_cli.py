@@ -554,6 +554,35 @@ def test_reconstruct_shape_mismatch(tmp_path, capsys):
     assert "8x8" in err and "16x16" in err
 
 
+# exit code and the whole stderr of each rejected input
+REJECTED = {
+    "eval-shape": (4, "error: checkpoint expects 8x8 with 4 masks, data is 16x16 with 4 masks"),
+    "eval-empty": (3, "error: data directory is empty"),
+    "reconstruct-shape": (4, "error: checkpoint expects 8x8, input image is 16x16"),
+    "reconstruct-alpha": (2, "error: alpha must be finite and nonnegative, got -1.0"),
+}
+
+
+@pytest.mark.parametrize("case", list(REJECTED))
+def test_a_rejected_input_prints_one_error_line(tmp_path, capsys, case):
+    d8 = _gen(tmp_path, "d8", size="8x8", seed=23)
+    d16 = _gen(tmp_path, "d16", size="16x16", seed=23)
+    empty = _gen(tmp_path, "none", count=0, size="8x8", seed=23)
+    ckpt = str(_train(tmp_path, d8, epochs=0))
+    recon = ["reconstruct", "--ckpt", ckpt, "--seed", "1", "--out", str(tmp_path / "r.pgm")]
+    argv = {
+        "eval-shape": ["eval", "--ckpt", ckpt, "--data", str(d16)],
+        "eval-empty": ["eval", "--ckpt", ckpt, "--data", str(empty)],
+        "reconstruct-shape": recon + ["--input", str(d16 / "img_0000.pgm"), "--alpha", "27"],
+        "reconstruct-alpha": recon + ["--input", str(d8 / "img_0000.pgm"), "--alpha", "-1"],
+    }[case]
+    capsys.readouterr()
+    code, line = REJECTED[case]
+    assert main(argv) == code
+    assert capsys.readouterr().err == line + "\n"
+    assert not (tmp_path / "r.pgm").exists()
+
+
 # ---------------------------------------------------------------------------
 # selfcheck
 

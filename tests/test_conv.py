@@ -177,7 +177,8 @@ def test_net_forward_bitwise_invariant_to_batch(mode):
     whole, _ = net_forward(ys, masks, net)
     chunked = np.concatenate([net_forward(ys[i:i + 7], masks[i:i + 7], net)[0]
                               for i in range(0, n, 7)])
-    single = np.stack([net_forward(ys[i], masks[i], net)[0] for i in range(n)])
+    single = np.concatenate([net_forward(ys[i:i + 1], masks[i:i + 1], net)[0]
+                             for i in range(n)])
     assert np.array_equal(whole, chunked)
     assert np.array_equal(whole, single)
 
@@ -201,6 +202,6 @@ def test_net_backward_input_cotangent_bitwise_invariant_to_batch(mode):
 
     whole = dx(slice(None))
     chunked = np.concatenate([dx(slice(i, i + 7)) for i in range(0, n, 7)])
-    single = np.concatenate([dx(i) for i in range(n)])
+    single = np.concatenate([dx(slice(i, i + 1)) for i in range(n)])
     assert np.array_equal(whole, chunked)
     assert np.array_equal(whole, single)

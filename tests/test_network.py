@@ -5,6 +5,7 @@ import pytest
 
 from unrollpr import cdp, network
 from unrollpr.cdp import MaskSet, OperatorParams, make_cdp_masks, measure
+from unrollpr.datakit import stack_dataset
 from unrollpr.field import SeededRng
 from unrollpr.network import (
     PHASE_EPS,
@@ -305,11 +306,11 @@ def test_net_forward_zero_transforms_is_pure_descent():
     ms = make_cdp_masks(SeededRng(41), 4, 8, 8)
     truth = SeededRng(42).uniform(64).reshape(8, 8)
     y = measure(truth, ms, 27.0, SeededRng(43))
-    out, _ = net_forward(y, ms, net)
+    out, _ = net_forward(*stack_dataset([(truth, y)])[1:], net)
     x = np.ones((1, 8, 8))
     for st in net.stages:
         x, _ = sgd_step_fwd(x, st, y.values[None], ms)
-    assert np.max(np.abs(out - x[0])) <= 1e-13
+    assert np.max(np.abs(out - x)) <= 1e-13
 
 
 def test_net_forward_consistent_start_is_fixed_point():
@@ -323,13 +324,14 @@ def test_net_forward_consistent_start_is_fixed_point():
     ms = make_cdp_masks(SeededRng(45), 4, 8, 8)
     truth = SeededRng(46).uniform(64).reshape(8, 8) + 0.1
     y = measure(truth, ms, 0.0, SeededRng(47))
-    out, _ = net_forward(y, ms, net, x0=truth)
+    truth, ys, masks = stack_dataset([(truth, y)])
+    out, _ = net_forward(ys, masks, net, x0=truth)
     assert np.max(np.abs(out - truth)) <= 1e-11
 
 
 def test_net_forward_scalar_chain():
     # one stage, 1x1: descent example composed with an identity projection
-    mask = MaskSet(masks=np.ones((1, 1, 1), dtype=np.complex128))
+    mask = np.ones((1, 1, 1, 1), dtype=np.complex128)
     net = init_net(1, 1, num_stages=1, channels=1, num_masks=1,
                    mode="dense", rng=SeededRng(48))
     st = net.stages[0]
@@ -337,8 +339,8 @@ def test_net_forward_scalar_chain():
     for blk in (st.ana, st.syn):
         blk.w1[...] = 0
         blk.w2[...] = 0
-    out, _ = net_forward(np.array([[[1.0]]]), mask, net, x0=np.array([[2.0]]))
-    assert abs(out[0, 0] - 1.5) <= 1e-15
+    out, _ = net_forward(np.array([[[[1.0]]]]), mask, net, x0=np.array([[[2.0]]]))
+    assert abs(out[0, 0, 0] - 1.5) <= 1e-15
 
 
 def test_net_forward_shape_and_finiteness():
@@ -348,8 +350,8 @@ def test_net_forward_shape_and_finiteness():
         ms = make_cdp_masks(SeededRng(2000 + s), 4, 8, 8)
         truth = SeededRng(3000 + s).uniform(64).reshape(8, 8)
         y = measure(truth, ms, [9.0, 27.0, 81.0][s % 3], SeededRng(4000 + s))
-        out, _ = net_forward(y, ms, net)
-        assert out.shape == (8, 8)
+        out, _ = net_forward(*stack_dataset([(truth, y)])[1:], net)
+        assert out.shape == (1, 8, 8)
         assert np.all(np.isfinite(out))
 
 
@@ -365,20 +367,20 @@ def test_net_forward_batched_matches_single():
     ys = np.stack([y1.values, y2.values])
     msb = np.stack([ms1.masks, ms2.masks])
     batch, _ = net_forward(ys, msb, net)
-    a, _ = net_forward(y1, ms1, net)
-    b, _ = net_forward(y2, ms2, net)
-    assert np.max(np.abs(batch[0] - a)) <= 1e-13
-    assert np.max(np.abs(batch[1] - b)) <= 1e-13
+    a, _ = net_forward(ys[:1], msb[:1], net)
+    b, _ = net_forward(ys[1:], msb[1:], net)
+    assert np.max(np.abs(batch[0] - a[0])) <= 1e-13
+    assert np.max(np.abs(batch[1] - b[0])) <= 1e-13
 
 
 def test_net_forward_rejects_mismatched_shapes():
     net = init_net(8, 8, num_stages=1, channels=2, num_masks=4,
                    rng=SeededRng(57))
-    ms = make_cdp_masks(SeededRng(58), 4, 8, 8)
-    with pytest.raises(ValueError):
-        net_forward(np.zeros((2, 8, 8)), ms, net)  # J mismatch
-    with pytest.raises(ValueError):
-        net_forward(np.zeros((4, 4, 4)), ms, net)  # spatial mismatch
+    masks = make_cdp_masks(SeededRng(58), 4, 8, 8).masks[None]
+    with pytest.raises(ValueError, match="net_forward takes"):
+        net_forward(np.zeros((1, 2, 8, 8)), masks, net)  # J mismatch
+    with pytest.raises(ValueError, match="net_forward takes"):
+        net_forward(np.zeros((1, 4, 4, 4)), masks, net)  # spatial mismatch
 
 
 LAYOUTS = [(mode, tie, share) for mode in ("fixed", "structured", "dense")
@@ -416,7 +418,7 @@ def test_unrecorded_forward_bitwise_invariant_to_batch(monkeypatch, mode, tie, s
     assert len(tape.stage_caches) == 2 and free.stage_caches == []
     assert free.output is blocked and np.array_equal(free.x0, tape.x0)
     assert blocked.tobytes() == recorded.tobytes()
-    shared = MaskSet(masks[0])  # one mask set for the whole batch
+    shared = np.broadcast_to(masks[0], masks.shape)  # one mask set for the whole batch
     assert (net_forward(ys, shared, net)[0].tobytes()
             == net_forward(ys, shared, net, record=True)[0].tobytes())
 
@@ -424,5 +426,28 @@ def test_unrecorded_forward_bitwise_invariant_to_batch(monkeypatch, mode, tie, s
 def test_net_forward_rejects_a_mask_batch_of_another_size():
     net = init_net(8, 8, num_stages=1, channels=2, num_masks=2, rng=SeededRng(73))
     masks = np.stack([make_cdp_masks(SeededRng(74 + i), 2, 8, 8).masks for i in range(3)])
-    with pytest.raises(ValueError, match="3 mask sets for 2 measurements"):
+    with pytest.raises(ValueError, match=r"got values \(2, 2, 8, 8\), masks \(3, 2, 8, 8\)"):
         net_forward(np.ones((2, 2, 8, 8)), masks, net)
+
+
+@pytest.mark.parametrize("form", ["values", "measurement", "mask-set", "shared-masks", "x0"])
+def test_net_forward_takes_only_a_stacked_batch(form):
+    net = init_net(8, 8, num_stages=1, channels=2, num_masks=2, rng=SeededRng(75))
+    ms = make_cdp_masks(SeededRng(76), 2, 8, 8)
+    truth = SeededRng(77).uniform(64).reshape(8, 8)
+    y = measure(truth, ms, 27.0, SeededRng(78))
+    _, ys, masks = stack_dataset([(truth, y)])
+    values, mask_arg, x0, given = {
+        "values": (y.values, masks, None, "values (2, 8, 8), masks (1, 2, 8, 8), x0 None"),
+        "measurement": (y, masks, None, "values (), masks (1, 2, 8, 8), x0 None"),
+        "mask-set": (ys, ms, None, "values (1, 2, 8, 8), masks (), x0 None"),
+        "shared-masks": (np.concatenate([ys, ys]), ms.masks, None,
+                         "values (2, 2, 8, 8), masks (2, 8, 8), x0 None"),
+        "x0": (ys, masks, truth, "values (1, 2, 8, 8), masks (1, 2, 8, 8), x0 (8, 8)"),
+    }[form]
+    want = ("net_forward takes (B, J, h, w) values and masks and an optional (B, h, w) x0, "
+            "with (J, h, w) = (2, 8, 8) for this network; got " + given)
+    for record in (False, True):
+        with pytest.raises(ValueError) as err:
+            net_forward(values, mask_arg, net, x0, record=record)
+        assert str(err.value) == want

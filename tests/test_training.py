@@ -41,6 +41,7 @@ def _generic_instance(seed=42, mode="structured"):
     truth = rng.uniform(64).reshape(8, 8)
     masks = cdp.make_cdp_masks(SeededRng(seed + 1), 2, 8, 8)
     y = cdp.measure(truth, masks, 27.0, SeededRng(seed + 2))
+    truth, y, masks = datakit.stack_dataset([(truth, y)])
     net = init_net(8, 8, num_stages=2, channels=2, num_masks=2,
                    mode=mode, rng=SeededRng(seed + 3))
     prng = SeededRng(seed + 4)
@@ -115,7 +116,8 @@ def test_backward_zero_gradient_at_exact_minimum():
     ms = cdp.make_cdp_masks(SeededRng(6), 4, 8, 8)
     truth = SeededRng(7).uniform(64).reshape(8, 8) + 0.1
     y = cdp.measure(truth, ms, 0.0, SeededRng(8))
-    out, tape = net_forward(y, ms, net, x0=truth, record=True)
+    truth, y, masks = datakit.stack_dataset([(truth, y)])
+    out, tape = net_forward(y, masks, net, x0=truth, record=True)
     assert np.max(np.abs(out - truth)) <= 1e-11
     grads = backward(tape, truth)
     for name, g in grads.items():
@@ -159,6 +161,7 @@ def test_backward_directional_derivative_every_layout(mode, tie, share):
     truth = SeededRng(seed).uniform(64).reshape(8, 8)
     masks = cdp.make_cdp_masks(SeededRng(seed + 1), 2, 8, 8)
     y = cdp.measure(truth, masks, 27.0, SeededRng(seed + 2))
+    truth, y, masks = datakit.stack_dataset([(truth, y)])
     net = init_net(8, 8, num_stages=2, channels=2, num_masks=2, mode=mode,
                    tie_adjoint=tie, share_operator=share, rng=SeededRng(seed + 3))
     prng = SeededRng(seed + 4)
@@ -434,6 +437,20 @@ def test_train_loss_history_finite_and_decreasing_trend():
     assert history[-1] < history[0]
 
 
+def _capture_trained_nets(monkeypatch):
+    """(network, its tensors before the first step) for every network that
+    train_full trains, as it hands each to ``training.init_adam``."""
+    nets = []
+    real = training.init_adam
+
+    def capture(net):
+        nets.append((net, {n: a.copy() for n, a in net.tensors()}))
+        return real(net)
+
+    monkeypatch.setattr(training, "init_adam", capture)
+    return nets
+
+
 @pytest.mark.parametrize("threads", [1, 2])
 def test_train_stops_at_the_first_nonfinite_step(monkeypatch, worker_pool, threads):
     ds = _toy_dataset(8, 8, 8, seed=20)
@@ -442,7 +459,7 @@ def test_train_stops_at_the_first_nonfinite_step(monkeypatch, worker_pool, threa
     perm = derive_rng(cfg.seed, STREAM_SHUFFLE).permutation(len(ds))
     # third batch of epoch 1; at two threads, the chunk a worker computes
     ds[int(perm[5])][1].values[0, 0, 0] = np.nan
-    net = init_net(8, 8, num_stages=2, channels=2, num_masks=4, rng=SeededRng(1))
+    nets = _capture_trained_nets(monkeypatch)
     after = []
     real = training.adam_update
 
@@ -452,10 +469,11 @@ def test_train_stops_at_the_first_nonfinite_step(monkeypatch, worker_pool, threa
 
     monkeypatch.setattr(training, "adam_update", recording)
     with pytest.raises(FloatingPointError, match=r"epoch 1 step 3\b"):
-        train_full(ds, cfg, net=net)
+        train_full(ds, cfg)
     assert len(training._WORKERS) == threads - 1
     # the NaN batch made no update: the weights are those after step 2
     assert len(after) == 2
+    (net, _), = nets
     for n, a in net.tensors():
         assert np.isfinite(a).all()
         assert np.array_equal(a, after[-1][n])
@@ -467,8 +485,7 @@ def test_train_names_a_nonfinite_gradient_before_the_update(monkeypatch, worker_
     ds = _toy_dataset(8, 8, 8, seed=20)
     cfg = TrainConfig(epochs=2, batch_size=4, seed=5, num_stages=2, channels=2,
                       threads=threads)
-    net = init_net(8, 8, num_stages=2, channels=2, num_masks=4, rng=SeededRng(1))
-    before = {n: a.copy() for n, a in net.tensors()}
+    nets = _capture_trained_nets(monkeypatch)
     parent = os.getpid()
     real = training.backward
 
@@ -481,10 +498,21 @@ def test_train_names_a_nonfinite_gradient_before_the_update(monkeypatch, worker_
     monkeypatch.setattr(training, "backward", poisoned)
     with pytest.raises(FloatingPointError,
                        match=r"^training diverged at epoch 1 step 1: gradient of stage1\.syn\.w1$"):
-        train_full(ds, cfg, net=net)
+        train_full(ds, cfg)
     assert len(training._WORKERS) == threads - 1
+    (net, before), = nets
     for n, a in net.tensors():
         assert a.tobytes() == before[n].tobytes(), n
+
+
+def test_train_builds_the_network_the_config_describes():
+    ds = _toy_dataset(4, 8, 8, seed=41)
+    cfg = TrainConfig(epochs=1, batch_size=2, num_stages=3, channels=4, mode="dense",
+                      tie_adjoint=True)
+    net, _, _ = train_full(ds, cfg)
+    assert (net.num_stages, net.channels, net.mode, net.tie_adjoint) == (3, 4, "dense", True)
+    with pytest.raises(TypeError, match="net"):  # no second description to ignore it
+        train_full(ds, cfg, net=init_net(8, 8, num_stages=1, channels=1, num_masks=4))
 
 
 def test_train_fixed_mode_has_no_operator_tensors():
