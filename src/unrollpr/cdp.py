@@ -30,9 +30,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .field import SeededRng, check_spatial_pow2, fft2_unitary, ifft2_unitary
-
-DENSE_SIZE_LIMIT = 4096  # dense transforms store N^2 complex entries
+from .field import (DENSE_SIZE_LIMIT, SeededRng, check_spatial_pow2, dense_too_large,
+                    fft2_unitary, ifft2_unitary)
 
 
 @dataclass
@@ -99,12 +98,13 @@ def _dft_pair(h, w):
 
 
 # mode -> (forward, adjoint) attribute names, their shape for an h x w field,
-# their initial values and the tie map; ``fixed`` has no trainable part
+# their initial values and the tie map, which a fresh cotangent passes
+# through in place (``out=``); ``fixed`` has no trainable part
 _TRANSFORMS = {
     "fixed": ((), None, None, None),
     "structured": (("gain", "adj_gain"), lambda h, w: (h, w), _identity_gains, np.conj),
     "dense": (("mat", "adj_mat"), lambda h, w: (h * w, h * w), _dft_pair,
-              lambda m: m.conj().T),
+              lambda m, out=None: np.conjugate(m, out=out).T),
 }
 
 
@@ -122,11 +122,9 @@ def operator_layout(mode, h, w, tie_adjoint=False):
     names, shape, _, _ = _transform(mode)
     if names:
         check_spatial_pow2((h, w))
-    if mode == "dense" and h * w > DENSE_SIZE_LIMIT:
-        raise ValueError(
-            "dense transform needs %d^2 complex entries; limit is %d^2"
-            % (h * w, DENSE_SIZE_LIMIT)
-        )
+    if dense_too_large(mode, h, w):
+        raise ValueError("dense transform needs %d^2 complex entries; limit is %d^2"
+                         % (h * w, DENSE_SIZE_LIMIT))
     names = names[:1] if tie_adjoint else names
     return tuple((name, shape(h, w), np.dtype(np.complex128)) for name in names)
 
@@ -190,11 +188,14 @@ def _matmul_vjp(dout, vf, m):
     """Pull dout back through :func:`_matmul`: (dv, dm summed over leading axes).
 
     dout takes vf's row layout, so dv is one GEMM over the batch as well.
+    dv = df @ conj(m) is formed as conj(conj(df) @ m): the conjugate is
+    taken of the (rows, N) operands, never of the N x N matrix.
     """
     n = vf.shape[-1]
     df = dout.reshape(vf.shape)
     dm = df.reshape(-1, n).T @ np.conj(vf.reshape(-1, n))
-    return (df @ np.conj(m)).reshape(dout.shape), dm
+    dv = np.conj(df) @ m
+    return np.conjugate(dv, out=dv).reshape(dout.shape), dm
 
 
 def _gain_grad(v, dout):
@@ -277,7 +278,7 @@ def operator_adjoint_vjp(ds, cache):
         da = _gain_grad(cache["z"], dz)
         dz = np.conj(a) * dz
     names, _, _, tie = _TRANSFORMS[cache["mode"]]
-    return dz, {names[0]: tie(da)} if cache["tied"] else {names[1]: da}
+    return dz, {names[0]: tie(da, out=da)} if cache["tied"] else {names[1]: da}
 
 
 def measure(x, mask_set, alpha, rng):

@@ -268,6 +268,7 @@ def read_manifest(path):
         text = f.read()
     head = {}
     samples = {}
+    lines = {}  # head key or (sample index, field) -> the line that set it
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -276,12 +277,17 @@ def read_manifest(path):
             raise FormatError("expected key=value (line %d)" % line_no)
         key, value = line.split("=", 1)
         key = key.strip()
+        slot = key
         if key.startswith("sample."):
             parts = key.split(".")
             if len(parts) != 3:
                 raise FormatError("bad sample key %r (line %d)" % (key, line_no))
-            idx = _parse_int(parts[1], key, line_no)
-            field_name = parts[2]
+            slot = (_parse_int(parts[1], key, line_no), parts[2])  # sample.01.x is sample.1.x
+        if slot in lines:
+            raise FormatError("repeated key %r (lines %d and %d)" % (key, lines[slot], line_no))
+        lines[slot] = line_no
+        if isinstance(slot, tuple):
+            idx, field_name = slot
             if field_name not in _SAMPLE_FIELDS:
                 raise FormatError("unknown sample field %r (line %d)" % (key, line_no))
             if field_name == "alpha":

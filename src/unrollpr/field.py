@@ -27,6 +27,7 @@ FIELD_CAPS = {"K": 64, "c": 1024, "J": 64, "h": 4096, "w": 4096}
 # cap on count x masks x height x width of a dataset read from a manifest:
 # its measurement values and the masks they carry are that many entries each
 DATASET_CAP = 2 ** 24
+DENSE_SIZE_LIMIT = 4096  # cap on N = h x w of a dense operator's N x N matrices
 
 
 def is_pow2(n):
@@ -46,6 +47,11 @@ def cap_error(name, value):
     if name in ("h", "w") and not is_pow2(value):
         return "%s=%d is not a power of two" % (name, value)
     return None
+
+
+def dense_too_large(mode, h, w):
+    """True for a dense operator on an h x w field beyond ``DENSE_SIZE_LIMIT``."""
+    return mode == "dense" and h * w > DENSE_SIZE_LIMIT
 
 
 def check_spatial_pow2(shape):

@@ -292,7 +292,7 @@ def sgd_step_bwd(dr, cache, g):
     dz[small] = dres_small + (-y_small * dres_small) / PHASE_EPS
     dxc, fwd = cdp.operator_apply_vjp(dz, cache["op"])
     for name, v in fwd.items():  # a tied adjoint's cotangent is on the same key:
-        adj[name] = adj[name] + v if name in adj else v  # summed before the slot
+        adj[name] = np.add(adj[name], v, out=adj[name]) if name in adj else v  # summed first
     for name, v in adj.items():
         getattr(g.op, name)[...] += v
     return dr + dxc.real

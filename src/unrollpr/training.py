@@ -37,10 +37,11 @@ from itertools import zip_longest
 
 import numpy as np
 
-from . import cdp, metrics, network
+from . import metrics, network
 from .datakit import atomic_write, stack_dataset
 from .errors import FormatError, UnsupportedVersionError
-from .field import FIELD_CAPS, STREAM_INIT, STREAM_SHUFFLE, cap_error, derive_rng
+from .field import (DENSE_SIZE_LIMIT, FIELD_CAPS, STREAM_INIT, STREAM_SHUFFLE, cap_error,
+                    dense_too_large, derive_rng)
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -143,26 +144,42 @@ def _flat(params, tensors, what="", items=None):
 def adam_update(params, grads, state, lr):
     """One Adam step, updating parameters in place.
 
-    m <- b1 m + (1-b1) g;  v <- b2 v + (1-b2) g^2;  bias-correct both;
-    theta <- theta - lr * mhat / (sqrt(vhat) + eps).  ``grads`` is the arena
-    :func:`backward` returns.  Each coordinate is updated on its own, so
-    the arenas go through in blocks that stay in cache.
+    At step t, with b1, b2 = ADAM_BETA1, ADAM_BETA2 and eps = ADAM_EPS:
+
+        m <- b1 m + (1-b1) g;  v <- b2 v + (1-b2) g^2;
+        alpha = lr sqrt(1-b2^t) / (1-b1^t);  epshat = eps sqrt(1-b2^t);
+        theta <- theta - alpha m / (sqrt(v) + epshat),
+
+    the bias corrections folded into the step size and eps as in Kingma &
+    Ba, "Adam" (ICLR 2015), section 2: the same update as
+    lr mhat / (sqrt(vhat) + eps) up to rounding, with one division and one
+    square root per coordinate.  ``grads`` is the arena :func:`backward`
+    returns.  Each coordinate is updated on its own, so the arenas go
+    through in blocks that stay in cache, each worked in two scratch rows
+    allocated once per call.
     """
     p = _flat(params, params.arena, items=dict(params.tensors()))
     m, v = _flat(params, state.m, ".m"), _flat(params, state.v, ".v")
     g = _flat(params, grads, " gradient")
     state.step += 1
     k = state.step
-    c1 = 1.0 - ADAM_BETA1 ** k
-    c2 = 1.0 - ADAM_BETA2 ** k
+    root_c2 = np.sqrt(1.0 - ADAM_BETA2 ** k)
+    alpha = lr * root_c2 / (1.0 - ADAM_BETA1 ** k)
+    eps_hat = ADAM_EPS * root_c2
+    buf_a, buf_b = np.empty((2, min(p.size, _ADAM_BLOCK)))
     for i in range(0, p.size, _ADAM_BLOCK):
         s = slice(i, i + _ADAM_BLOCK)
         gb, mb, vb = g[s], m[s], v[s]
+        a, b = buf_a[:gb.size], buf_b[:gb.size]
         mb *= ADAM_BETA1
-        mb += (1.0 - ADAM_BETA1) * gb
+        mb += np.multiply(1.0 - ADAM_BETA1, gb, out=a)
         vb *= ADAM_BETA2
-        vb += (1.0 - ADAM_BETA2) * gb * gb
-        p[s] -= lr * (mb / c1) / (np.sqrt(vb / c2) + ADAM_EPS)
+        np.multiply(1.0 - ADAM_BETA2, gb, out=a)
+        vb += np.multiply(a, gb, out=a)
+        np.sqrt(vb, out=a)
+        a += eps_hat
+        np.multiply(alpha, mb, out=b)
+        p[s] -= np.divide(b, a, out=b)
     return params, state
 
 
@@ -506,11 +523,9 @@ def _check_header(head):
     if flags & ~_KNOWN_FLAGS:
         raise FormatError("unknown flag bits 0x%x" % flags, offset=32)
     mode = _MODE_NAMES[mode_code]
-    if mode == "dense" and h * w > cdp.DENSE_SIZE_LIMIT:
-        raise FormatError(
-            "dense operator of %dx%d exceeds %d entries" % (h, w, cdp.DENSE_SIZE_LIMIT),
-            offset=20,
-        )
+    if dense_too_large(mode, h, w):
+        raise FormatError("dense operator of %dx%d exceeds %d entries"
+                          % (h, w, DENSE_SIZE_LIMIT), offset=20)
     return version, k, c, j, h, w, mode, flags
 
 

@@ -115,7 +115,7 @@ def _reference_adam(tensors, grads, m, v, step, lr):
         m[name] += (1.0 - ADAM_BETA1) * gf
         v[name] *= ADAM_BETA2
         v[name] += (1.0 - ADAM_BETA2) * gf * gf
-        upd = lr * (m[name] / c1) / (np.sqrt(v[name] / c2) + ADAM_EPS)
+        upd = lr * np.sqrt(c2) / c1 * m[name] / (np.sqrt(v[name]) + ADAM_EPS * np.sqrt(c2))
         rv = arr.view(np.float64)
         rv[...] -= upd.reshape(rv.shape)
 

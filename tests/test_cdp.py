@@ -1,5 +1,7 @@
 """Measurement operator: masks, forward/adjoint, learnable modes, noise."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -137,6 +139,37 @@ def test_dense_one_mask_bitwise_invariant_to_batch():
     for i in range(b):
         for all_rows, one in zip(whole, run(slice(i, i + 1))):
             assert np.array_equal(all_rows[i:i + 1], one)
+
+
+@pytest.mark.parametrize("tie", [False, True])
+def test_dense_vjps_conjugate_the_thin_operand_not_the_matrix(tie):
+    # an input cotangent df @ conj(m) is formed as conj(conj(df) @ m), so a
+    # vjp's peak holds its matrix cotangent, its input cotangent and two
+    # (B*J, N) buffers, never an N x N conjugate of the matrix (a tied
+    # adjoint's cotangent is conjugate-transposed in place, too)
+    b, j, h = 10, 4, 16
+    x, z, masks, p = _dense_case(b, j, h)
+    if tie:
+        p.adj_mat, p.tie_adjoint = None, True
+    _, ca = operator_apply_fwd(x, MaskSet(masks), p)
+    _, cs = operator_adjoint_fwd(z, MaskSet(masks), p)
+    rows = (b * j, h * h)
+    du = (z.reshape(rows) @ np.conj(p.mat)).reshape(z.shape)
+    want_dx = np.sum(np.conj(masks) * du, axis=-3)
+    dq = masks * x[:, None]
+    want_dz = (dq.reshape(rows) @ np.conj(p._tensor(adjoint=True))).reshape(z.shape)
+    for vjp, seed, cache, want in ((operator_apply_vjp, z, ca, want_dx),
+                                   (operator_adjoint_vjp, x, cs, want_dz)):
+        tracemalloc.start()
+        try:
+            got, grads = vjp(seed, cache)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        (dm,) = grads.values()
+        # 4 KiB for the array headers and the dict around them
+        assert peak <= dm.nbytes + got.nbytes + 2 * 16 * rows[0] * rows[1] + 4096
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
 
 def test_dft_matrix_is_unitary_and_matches_brute_force():

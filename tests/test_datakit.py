@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from unrollpr import datakit
+from unrollpr.cli import main
 from unrollpr.datakit import (
     MANIFEST_NAME,
     PGM_HEADER_BUDGET,
@@ -285,6 +286,29 @@ def test_manifest_negative_count_rejected(tmp_path):
     _sized_manifest(p, -3, 4, 16)  # no sample records: not an empty set
     with pytest.raises(FormatError, match=r"count -3 is negative \(line 4\)"):
         read_manifest(str(p))
+
+
+@pytest.mark.parametrize("first,extra", [
+    ("seed", "seed=99"),
+    ("sample.0.alpha", "sample.0.alpha=81"),
+    ("sample.1.alpha", "sample.01.alpha=81"),  # the same index, written another way
+])
+def test_manifest_repeated_key_names_both_lines(tmp_path, capsys, first, extra):
+    rc = main(["gen-data", "--out", str(tmp_path), "--count", "2", "--size", "8x8",
+               "--seed", "4"])
+    assert rc == 0
+    p = tmp_path / MANIFEST_NAME
+    lines = p.read_text().splitlines()
+    at = next(i for i, ln in enumerate(lines, 1) if ln.startswith(first + "="))
+    p.write_text("\n".join(lines + [extra]) + "\n")
+    key = extra.split("=")[0]
+    with pytest.raises(FormatError, match=r"^repeated key '%s' \(lines %d and %d\)$"
+                       % (key.replace(".", r"\."), at, len(lines) + 1)):
+        read_manifest(str(p))
+    rc = main(["train", "--data", str(tmp_path), "--out", str(tmp_path / "m"),
+               "--epochs", "1"])
+    err = capsys.readouterr().err
+    assert rc == 3 and err.startswith("error: repeated key") and err.count("\n") == 1
 
 
 def test_manifest_error_names_line_number(tmp_path):

@@ -18,6 +18,9 @@ from unrollpr.errors import FormatError, UnsupportedVersionError
 from unrollpr.field import STREAM_INIT, STREAM_SHUFFLE, SeededRng, derive_rng
 from unrollpr.network import init_net, net_forward
 from unrollpr.training import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     TrainConfig,
     adam_update,
     backward,
@@ -277,6 +280,47 @@ def test_adam_updates_complex_parameters_in_real_coordinates():
     assert abs(moved[0, 0].real + 0.01) <= 1e-7
     assert abs(moved[0, 0].imag - 0.01) <= 1e-7
     assert np.max(np.abs(moved.ravel()[1:])) == 0.0
+
+
+@pytest.mark.parametrize("block", [7, 1000, training._ADAM_BLOCK])
+@pytest.mark.parametrize("step", [1, 2, 10, 1000, 100000])
+def test_textbook_adam_step_matches_the_bias_corrected_moments(monkeypatch, step, block):
+    # the oracle bias-corrects both moments, lr * mhat / (sqrt(vhat) + eps);
+    # adam_update folds the corrections into the step size and eps instead
+    monkeypatch.setattr(training, "_ADAM_BLOCK", block)
+    net = init_net(8, 8, num_stages=2, channels=3, num_masks=2, mode="structured",
+                   rng=SeededRng(5))
+    n = net.arena.flat.size
+    rng = SeededRng(step)
+
+    def spread(lo, hi):  # random signs, magnitudes log-uniform on [10^lo, 10^hi]
+        sign = np.where(rng.uniform(n) < 0.5, -1.0, 1.0)
+        return sign * 10.0 ** (lo + (hi - lo) * rng.uniform(n))
+
+    g = spread(-12, 3)
+    m0 = np.zeros(n) if step == 1 else spread(-12, 3)
+    v0 = np.zeros(n) if step == 1 else np.abs(spread(-24, 6))
+    g[::5] = 0.0  # exact zeros: with m0 zero too the step is exactly zero
+    m0[::10] = v0[::10] = 0.0
+    net.arena.flat[...] = 0.0  # so the parameters come out as minus the step
+    state = init_adam(net)
+    state.m.flat[...], state.v.flat[...], state.step = m0, v0, step - 1
+    grads = _zero_grads(net)
+    grads.flat[...] = g
+    lr = 1e-3
+    adam_update(net, grads, state, lr)
+
+    m = m0 * ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * g
+    v = v0 * ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * g * g
+    c1, c2 = 1.0 - ADAM_BETA1 ** step, 1.0 - ADAM_BETA2 ** step
+    want = lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
+    assert state.step == step
+    assert state.m.flat.tobytes() == m.tobytes() and state.v.flat.tobytes() == v.tobytes()
+    got = -net.arena.flat
+    assert np.array_equal(got == 0.0, want == 0.0) and np.count_nonzero(want == 0.0) >= n // 10
+    assert np.all(np.abs(got - want) <= 2e-15 * np.abs(want))
 
 
 def test_adam_shape_mismatch_rejected():
