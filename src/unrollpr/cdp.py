@@ -22,7 +22,9 @@ exactly adjoint, and carries its cotangent back onto the forward side.
 Gradients follow the convention  vbar = dL/dRe(v) + i dL/dIm(v)  for complex
 intermediates, which makes every complex-linear map M pull back as M^H.
 Each operator is a ``*_fwd`` / ``*_vjp`` pair only: the forward returns
-(output, cache), and the vjp consumes the cache.
+(output, cache); the vjp consumes the cache, adds (never writes) its
+parameter cotangents into a gradient :class:`OperatorParams`, so stages
+sharing one operator sum there, and returns the input cotangent.
 """
 
 from dataclasses import dataclass
@@ -223,22 +225,20 @@ def operator_apply_fwd(x, mask_set, params):
     return z, cache
 
 
-def operator_apply_vjp(dz, cache):
-    """Pull dz back through W.  Returns (dx, grads).
-
-    dx is the complex cotangent of x (take .real when x was real);
-    grads maps parameter names ("gain" or "mat") to their cotangents.
-    """
-    g, grads = cache["g"], {}
+def operator_apply_vjp(dz, cache, grad):
+    """Pull dz back through W, adding the gain / matrix cotangent into the
+    gradient :class:`OperatorParams` ``grad``; returns dx, the complex
+    cotangent of x (take .real when x was real)."""
+    g = cache["g"]
     if cache["mode"] == "dense":
-        du, grads["mat"] = _matmul_vjp(dz, cache["uf"], g)
+        du, dm = _matmul_vjp(dz, cache["uf"], g)
+        grad.mat += dm
     else:
         if g is not None:
-            grads["gain"] = _gain_grad(cache["f"], dz)
+            grad.gain += _gain_grad(cache["f"], dz)
             dz = np.conj(g) * dz
         du = ifft2_unitary(dz)
-    dx = np.sum(cache["conj_masks"] * du, axis=-3)
-    return dx, grads
+    return np.sum(cache["conj_masks"] * du, axis=-3)
 
 
 def operator_adjoint_fwd(z, mask_set, params):
@@ -261,12 +261,10 @@ def operator_adjoint_fwd(z, mask_set, params):
     return s, cache
 
 
-def operator_adjoint_vjp(ds, cache):
-    """Pull ds back through W^H.  Returns (dz, grads).
-
-    ds may be real or complex.  A tied adjoint's cotangent goes back through
-    the tie map onto the forward tensor, under its "gain" / "mat" key.
-    """
+def operator_adjoint_vjp(ds, cache, grad):
+    """Pull ds (real or complex) back through W^H, adding the adjoint's
+    cotangent into the gradient :class:`OperatorParams` ``grad`` (a tied
+    one through the tie map into the forward tensor); returns dz."""
     a = cache["a"]
     dq = cache["masks"] * ds[..., None, :, :]
     if cache["mode"] == "dense":
@@ -274,11 +272,13 @@ def operator_adjoint_vjp(ds, cache):
     else:
         dz = fft2_unitary(dq)
         if a is None:
-            return dz, {}
+            return dz
         da = _gain_grad(cache["z"], dz)
         dz = np.conj(a) * dz
     names, _, _, tie = _TRANSFORMS[cache["mode"]]
-    return dz, {names[0]: tie(da, out=da)} if cache["tied"] else {names[1]: da}
+    name, da = (names[0], tie(da, out=da)) if cache["tied"] else (names[1], da)
+    getattr(grad, name)[...] += da
+    return dz
 
 
 def measure(x, mask_set, alpha, rng):

@@ -45,18 +45,11 @@ def _parse_size(text):
     return h, w
 
 
-def _parse_alphas(text):
-    vals = tuple(float(v) for v in text.split(","))
-    if not vals:
-        raise ValueError("need at least one noise level")
-    return vals
-
-
 def cmd_gen_data(args):
     h, w = _parse_size(args.size)
     datakit.generate_dataset(
         args.out, args.count, h, w, args.seed,
-        alphas=_parse_alphas(args.alphas), test_masks=args.test_masks,
+        alphas=tuple(float(v) for v in args.alphas.split(",")), test_masks=args.test_masks,
     )
     print("wrote %d samples (%dx%d) to %s" % (args.count, h, w, args.out))
     return EXIT_OK
@@ -85,6 +78,8 @@ def cmd_train(args):
     )
     config.check()
     log_path = args.log if args.log else args.out + ".csv"
+    if os.path.realpath(log_path) == os.path.realpath(args.out):
+        raise ValueError("--out and --log name the same file")
     _check_out_paths(args.out, log_path)
     manifest = _read_dir(args.data)
     config.num_masks = manifest.num_masks
@@ -115,7 +110,7 @@ def cmd_eval(args):
     metrics.check_ssim_shape((manifest.height, manifest.width))
     dataset = datakit.build_dataset(manifest, base_dir=args.data)
     images, ys, masks = datakit.stack_dataset(dataset)
-    x = images if args.bypass else training.forward_chunked(net, ys, masks)
+    x = images if args.bypass else network.net_forward(ys, masks, net)[0]
     ps, ss = metrics.scores(x, images)
     rows = [(rec.image or ("synth-%d" % i), rec.alpha, p, s)
             for i, (rec, p, s) in enumerate(zip(manifest.records, ps, ss))]

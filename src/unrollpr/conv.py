@@ -12,8 +12,9 @@ past w hold junk.  The forward sums the nine tap GEMMs
 ``w[:, :, i, j] @ x_pad[b][:, off:off+n]`` (n = h*(w+2)) for one block of
 images at a time, sized so the partial sums stay in cache.  The input
 gradient is the same correlation of the padded output gradient with the
-180-degree rotated, transposed kernels, and each weight-gradient tap is
-``dy[b] @ x_pad[b][:, off:off+n].T`` summed over the batch.
+180-degree rotated, transposed kernels, and each weight-gradient tap
+``dy[b] @ x_pad[b][:, off:off+n].T``, summed over the batch, is added into
+the caller's ``dw`` (the bias cotangent into ``db``).
 
 The batch stays the outer axis: every image gets its own GEMMs, so an
 image's output does not depend on which images share its batch.  The dense
@@ -164,24 +165,22 @@ def conv2d_fwd(x, w, b):
     return _emit(_correlate(_rows_of(x), w, h, wd), h, wd, b), (x, w)
 
 
-def conv2d_bwd(dy, cache):
-    """Returns (dx, dw, db) for the cached forward call."""
+def conv2d_bwd(dy, cache, dw, db):
+    """Adds the weight and bias cotangents into ``dw`` and ``db``; returns dx."""
     x, w = cache
-    o, c = w.shape[:2]
     h, wd = dy.shape[2:]
     n = h * (wd + 2)
     dyp = _rows_of(dy)
     # one einsum over the buffer behind a conv output: its pad cells add zeros
-    db = np.einsum("bcq->c", dyp) if dyp is dy.base else dy.sum(axis=(0, 2, 3))
+    db += np.einsum("bcq->c", dyp) if dyp is dy.base else dy.sum(axis=(0, 2, 3))
     # transposed conv: correlate dy with the 180-degree rotated kernels
     dx = _emit(_correlate(dyp, w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), h, wd), h, wd)
     # dy on the output grid is a view of its padded rows, junk columns zero
     dyq = dyp[:, :, wd + 3:wd + 3 + n]
     xp = _rows_of(x)
-    dw = np.empty((o, c, 9))
     for t, off in enumerate(_taps(wd)):
-        dw[:, :, t] = np.matmul(dyq, xp[:, :, off:off + n].transpose(0, 2, 1)).sum(0)
-    return dx, dw.reshape(o, c, 3, 3), db
+        dw[:, :, t // 3, t % 3] += np.matmul(dyq, xp[:, :, off:off + n].transpose(0, 2, 1)).sum(0)
+    return dx
 
 
 def xavier_conv_weight(rng, c_out, c_in, k=3):

@@ -349,7 +349,7 @@ def build_dataset(manifest, base_dir="."):
         else:
             img = synth_image(SeededRng(rec.synth_seed), h, w)
         if img.shape != (h, w):
-            raise ValueError(
+            raise FormatError(
                 "sample %d: image is %r, manifest says %dx%d" % (i, img.shape, h, w)
             )
         if rec.mask_seed not in mask_cache:
@@ -381,6 +381,8 @@ def generate_dataset(out_dir, count, h, w, seed, alphas=DEFAULT_ALPHAS,
     check_spatial_pow2((h, w))
     if count < 0:
         raise ValueError("count must be nonnegative")
+    if len(alphas) == 0:
+        raise ValueError("need at least one noise level")
     for a in alphas:
         if not 0 <= a < np.inf:
             raise ValueError("noise level must be finite and nonnegative, got %r" % (a,))

@@ -15,8 +15,9 @@ per-stage parameters, untied across stages unless asked otherwise.
 
 Each stage block is a (forward, vjp) pair sharing a cache: ``sgd_step_fwd``
 / ``sgd_step_bwd`` and ``ppm_fwd`` / ``ppm_bwd``, batched over (B, h, w)
-images.  Each VJP adds its parameter cotangents into its stage of a zero
-network built like the parameters and returns the input cotangent.
+images.  Each VJP, down to the conv and operator VJPs they call, adds its
+parameter cotangents into its stage of a zero network built like the
+parameters and returns only the input cotangent.
 ``net_forward`` takes one input form, a stacked (B, J, h, w) batch.  With
 ``record=True`` it records a per-stage tape that the training module walks
 backwards; without ``record`` (inference) no cache outlives its stage, and
@@ -274,7 +275,7 @@ def sgd_step_fwd(x, stage, y, masks):
 def sgd_step_bwd(dr, cache, g):
     """Adds the step size and operator cotangents into gradient stage ``g``; returns dx."""
     g.step_size -= np.sum(dr * cache["s_re"])
-    dz, adj = cdp.operator_adjoint_vjp(-cache["t"] * dr, cache["adj"])
+    dz = cdp.operator_adjoint_vjp(-cache["t"] * dr, cache["adj"], g.op)
     # resid = z - y * phase(z), phase(z) = z / max(|z|, eps).  Above eps the
     # phase pulls dph = -y * dresid back to 1j * ph * Im(conj(dph) * ph) / |z|,
     # i.e. dz += 1j * ph * c with real c = y * Im(conj(dresid) * ph) / |z|;
@@ -290,12 +291,7 @@ def sgd_step_bwd(dr, cache, g):
     re -= ph.imag * c
     im += ph.real * c
     dz[small] = dres_small + (-y_small * dres_small) / PHASE_EPS
-    dxc, fwd = cdp.operator_apply_vjp(dz, cache["op"])
-    for name, v in fwd.items():  # a tied adjoint's cotangent is on the same key:
-        adj[name] = np.add(adj[name], v, out=adj[name]) if name in adj else v  # summed first
-    for name, v in adj.items():
-        getattr(g.op, name)[...] += v
-    return dr + dxc.real
+    return dr + cdp.operator_apply_vjp(dz, cache["op"], g.op).real
 
 
 # ---------------------------------------------------------------------------
@@ -311,15 +307,10 @@ def _stack_fwd(x4, blk):
 
 def _stack_bwd(dz2, cache, g):
     k1, k2 = cache
-    da1, dw2, db2 = conv2d_bwd(dz2, k2)
+    da1 = conv2d_bwd(dz2, k2, g.w2, g.b2)
     dc1 = rows(da1)
     np.multiply(dc1, rows(k2[0]) > 0, out=dc1)  # relu(c) > 0 exactly where c > 0
-    dx4, dw1, db1 = conv2d_bwd(da1, k1)
-    g.w1 += dw1
-    g.b1 += db1
-    g.w2 += dw2
-    g.b2 += db2
-    return dx4
+    return conv2d_bwd(da1, k1, g.w1, g.b1)
 
 
 def ppm_fwd(r, stage):

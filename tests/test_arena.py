@@ -8,7 +8,7 @@ import pytest
 
 from unrollpr import cdp, training
 from unrollpr.field import SeededRng
-from unrollpr.network import init_net, net_forward
+from unrollpr.network import build_net, init_net, net_forward
 from unrollpr.training import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -83,20 +83,39 @@ def test_an_unpickled_net_keeps_its_arena(mode, tie, share):
 
 @pytest.mark.parametrize("mode", ["structured", "dense"])
 @pytest.mark.parametrize("tie", [False, True])
-def test_a_shared_operator_gradient_sums_the_stages_last_first(mode, tie):
+def test_a_shared_operator_gradient_sums_the_stages_last_first(monkeypatch, mode, tie):
     # an unshared net whose every stage holds the shared operator's values
     # computes the same per-stage cotangents; the shared slot must hold
-    # 0 + g[K-1] + ... + g[0], each stage's tied-adjoint and forward parts
-    # summed before they reach the slot
+    # 0 + g[K-1] + ... + g[0].  A tied stage adds two parts into the one
+    # slot, its tied-adjoint part and then its forward part: replay each
+    # operator VJP call of the unshared backward into a zero holder
     kw = dict(num_stages=3, channels=2, num_masks=2, mode=mode, tie_adjoint=tie)
     shared = init_net(4, 4, share_operator=True, rng=SeededRng(6), **kw)
     apart = init_net(4, 4, rng=SeededRng(6), **kw)
     for slot in apart.arena.slots:
         src = "stage0." + slot.path if slot.path.startswith("op.") else slot.name
         apart.arena[slot.name][...] = shared.arena[src]
-    g_shared, g_apart = _grads(shared, 7), _grads(apart, 7)
+    calls = []  # (vjp, cotangent, cache) in call order: stage 2's two, then 1's, 0's
+
+    def spy(vjp):
+        def f(d, cache, grad):
+            calls.append((vjp, d.copy(), cache))
+            return vjp(d, cache, grad)
+        return f
+
+    for name in ("operator_adjoint_vjp", "operator_apply_vjp"):
+        monkeypatch.setattr(cdp, name, spy(getattr(cdp, name)))
+    g_apart = _grads(apart, 7)
+    monkeypatch.undo()
+    g_shared = _grads(shared, 7)
     for slot in shared.arena.slots:
-        if slot.path.startswith("op."):
+        if slot.path.startswith("op.") and tie:
+            want = np.zeros(slot.shape, slot.dtype)
+            for vjp, d, cache in calls:
+                part = build_net(4, 4, 1, 2, 2, mode, tie, False).stages[0].op
+                vjp(d, cache, part)
+                want += getattr(part, slot.path[3:])
+        elif slot.path.startswith("op."):
             want = np.zeros(slot.shape, slot.dtype)
             for k in (2, 1, 0):
                 want += g_apart["stage%d.%s" % (k, slot.path)]

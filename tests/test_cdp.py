@@ -20,6 +20,9 @@ from unrollpr.cdp import (
 from unrollpr.field import SeededRng
 
 
+_TENSORS = ("gain", "adj_gain", "mat", "adj_mat")
+
+
 def _rand_complex(rng, shape):
     n = int(np.prod(shape))
     return (rng.normal(n) + 1j * rng.normal(n)).reshape(shape)
@@ -112,6 +115,13 @@ def _dense_case(b, j, h):
     return x, z, masks, p
 
 
+def _zero_grad(p):
+    """A zero gradient holder laid out like the operator ``p``."""
+    return OperatorParams(p.mode, tie_adjoint=p.tie_adjoint, **{
+        name: np.zeros_like(getattr(p, name)) for name in _TENSORS
+        if getattr(p, name) is not None})
+
+
 def test_dense_caches_rows_of_one_gemm():
     # each dense product is one GEMM over the whole batch: the caches hold
     # the modulated field as one 2-D (B*J, N) view of its (B, J, h, w) buffer
@@ -133,7 +143,8 @@ def test_dense_one_mask_bitwise_invariant_to_batch():
     def run(s):
         w, ca = operator_apply_fwd(x[s], MaskSet(masks[s]), p)
         a, cs = operator_adjoint_fwd(z[s], MaskSet(masks[s]), p)
-        return w, a, operator_apply_vjp(z[s], ca)[0], operator_adjoint_vjp(x[s], cs)[0]
+        return (w, a, operator_apply_vjp(z[s], ca, _zero_grad(p)),
+                operator_adjoint_vjp(x[s], cs, _zero_grad(p)))
 
     whole = run(slice(None))
     for i in range(b):
@@ -160,16 +171,45 @@ def test_dense_vjps_conjugate_the_thin_operand_not_the_matrix(tie):
     want_dz = (dq.reshape(rows) @ np.conj(p._tensor(adjoint=True))).reshape(z.shape)
     for vjp, seed, cache, want in ((operator_apply_vjp, z, ca, want_dx),
                                    (operator_adjoint_vjp, x, cs, want_dz)):
+        grad = _zero_grad(p)
         tracemalloc.start()
         try:
-            got, grads = vjp(seed, cache)
+            got = vjp(seed, cache, grad)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        (dm,) = grads.values()
-        # 4 KiB for the array headers and the dict around them
-        assert peak <= dm.nbytes + got.nbytes + 2 * 16 * rows[0] * rows[1] + 4096
+        # the matrix cotangent is one transient of the matrix's size;
+        # 4 KiB for the array headers
+        assert peak <= p.mat.nbytes + got.nbytes + 2 * 16 * rows[0] * rows[1] + 4096
         assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("mode", ["structured", "dense"])
+@pytest.mark.parametrize("tie", [False, True])
+def test_vjps_add_into_the_gradient_holder_never_overwrite(mode, tie):
+    # stages sharing one operator add into one holder, so a vjp that
+    # overwrote its slot would drop the other stages' cotangents
+    b, j, h = 2, 2, 4
+    ms = MaskSet(np.stack([masks_from_seed(i, j, h, h).masks for i in range(b)]))
+    p = OperatorParams.initial(mode, h, h, tie)
+    x = SeededRng(81).normal(b * h * h).reshape(b, h, h)
+    z = _rand_complex(SeededRng(82), (b, j, h, h))
+    _, ca = operator_apply_fwd(x, ms, p)
+    _, cs = operator_adjoint_fwd(z, ms, p)
+    for vjp, seed, cache in ((operator_apply_vjp, z, ca), (operator_adjoint_vjp, x, cs)):
+        zero = _zero_grad(p)
+        want = vjp(seed, cache, zero)
+        held = _zero_grad(p)
+        rng = SeededRng(83)
+        for name in _TENSORS:
+            if getattr(held, name) is not None:
+                getattr(held, name)[...] = _rand_complex(rng, getattr(held, name).shape)
+        start = {name: np.copy(getattr(held, name)) for name in _TENSORS}
+        assert vjp(seed, cache, held).tobytes() == want.tobytes()
+        for name in _TENSORS:
+            if getattr(held, name) is not None:
+                added = start[name] + getattr(zero, name)
+                assert getattr(held, name).tobytes() == added.tobytes(), (vjp.__name__, name)
 
 
 def test_dft_matrix_is_unitary_and_matches_brute_force():
@@ -301,7 +341,7 @@ def test_apply_vjp_matches_finite_differences():
     c = _rand_complex(SeededRng(74), (2, 4, 4))
     e = _rand_complex(SeededRng(75), (4, 4))
     _, cache = operator_apply_fwd(x, ms, p)
-    dx, _ = operator_apply_vjp(c, cache)
+    dx = operator_apply_vjp(c, cache, _zero_grad(p))
     h = 1e-7
 
     def f(t):

@@ -560,6 +560,7 @@ REJECTED = {
     "eval-empty": (3, "error: data directory is empty"),
     "reconstruct-shape": (4, "error: checkpoint expects 8x8, input image is 16x16"),
     "reconstruct-alpha": (2, "error: alpha must be finite and nonnegative, got -1.0"),
+    "train-log-is-out": (2, "error: --out and --log name the same file"),
 }
 
 
@@ -575,12 +576,32 @@ def test_a_rejected_input_prints_one_error_line(tmp_path, capsys, case):
         "eval-empty": ["eval", "--ckpt", ckpt, "--data", str(empty)],
         "reconstruct-shape": recon + ["--input", str(d16 / "img_0000.pgm"), "--alpha", "27"],
         "reconstruct-alpha": recon + ["--input", str(d8 / "img_0000.pgm"), "--alpha", "-1"],
+        # an absent data directory would exit 3: the paths are checked first
+        "train-log-is-out": ["train", "--data", str(tmp_path / "absent"), "--epochs", "1",
+                             "--out", str(tmp_path / "m.ckpt"),
+                             "--log", str(tmp_path) + "/./m.ckpt"],
     }[case]
     capsys.readouterr()
     code, line = REJECTED[case]
     assert main(argv) == code
     assert capsys.readouterr().err == line + "\n"
     assert not (tmp_path / "r.pgm").exists()
+
+
+def test_an_image_unlike_its_manifest_exits_3(tmp_path, capsys):
+    # a malformed data set is an I/O error, whichever field is wrong
+    d16 = _gen(tmp_path, "d16", size="16x16", seed=24)
+    d32 = _gen(tmp_path, "d32", count=2, size="32x32", seed=24)
+    ckpt = str(_train(tmp_path, d16, epochs=0))
+    (d16 / "img_0001.pgm").write_bytes((d32 / "img_0001.pgm").read_bytes())
+    capsys.readouterr()
+    for argv in (["eval", "--ckpt", ckpt, "--data", str(d16)],
+                 ["train", "--data", str(d16), "--out", str(tmp_path / "m2.ckpt"),
+                  "--epochs", "1", "--K", "1", "--channels", "1"]):
+        assert main(argv) == 3
+        assert capsys.readouterr().err == \
+            "error: sample 1: image is (32, 32), manifest says 16x16\n"
+    assert not (tmp_path / "m2.ckpt").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -652,14 +673,15 @@ def test_public_names_resolve_and_the_readme_import_runs():
 
 
 def _record_forward_sizes(monkeypatch):
+    """Images in each block that an eval forward runs through all stages."""
     sizes = []
-    real = network.net_forward
+    real = network._run_stages
 
-    def wrapped(y, masks, params, x0=None):
-        sizes.append(np.shape(y)[0])
-        return real(y, masks, params, x0)
+    def wrapped(x, y, ms, params, caches=None):
+        sizes.append(len(x))
+        return real(x, y, ms, params, caches)
 
-    monkeypatch.setattr(network, "net_forward", wrapped)
+    monkeypatch.setattr(network, "_run_stages", wrapped)
     return sizes
 
 

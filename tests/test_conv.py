@@ -32,6 +32,12 @@ def _case(bsz, ci, co, h, wd, seed):
     return x, w, b
 
 
+def _bwd(dy, cache):
+    """(dx, dw, db) of one backward call into zero holders."""
+    dw, db = np.zeros_like(cache[1]), np.zeros(cache[1].shape[0])
+    return (conv2d_bwd(dy, cache, dw, db), dw, db)
+
+
 SHAPES = [(2, 2), (4, 8), (32, 32)]
 CHANNELS = [(ci, co) for ci in (1, 3, 8) for co in (1, 8)]
 
@@ -56,7 +62,7 @@ def test_backward_adjoint_identities(bsz, ci, co, h, wd):
     dy = rng.normal(bsz * co * h * wd).reshape(bsz, co, h, wd)
     w2 = rng.normal(w.size).reshape(w.shape)
     y, cache = conv2d_fwd(x, w, b)
-    dx, dw, db = conv2d_bwd(dy, cache)
+    dx, dw, db = _bwd(dy, cache)
     assert dx.shape == x.shape and dw.shape == w.shape and db.shape == b.shape
     # conv(x) - b is linear in x: <conv(x) - b, dy> = <x, dx>
     lhs = np.sum((y - b[:, None, None]) * dy)
@@ -66,6 +72,21 @@ def test_backward_adjoint_identities(bsz, ci, co, h, wd):
     rhs = np.sum(dy * (y2 - b[:, None, None]))
     assert abs(np.sum(dw * w2) - rhs) <= 1e-12 * max(1.0, abs(rhs))
     assert np.array_equal(db, dy.sum(axis=(0, 2, 3)))
+
+
+@pytest.mark.parametrize("ci,co", [(1, 8), (8, 8), (8, 1)])
+def test_backward_adds_into_its_holders_never_overwrites(ci, co):
+    # a shared or chained layer relies on dw and db being accumulated into
+    x, w, b = _case(2, ci, co, 4, 8, seed=21)
+    dy = SeededRng(22).normal(2 * co * 32).reshape(2, co, 4, 8)
+    _, cache = conv2d_fwd(x, w, b)
+    dx0, dw0, db0 = _bwd(dy, cache)
+    rng = SeededRng(23)
+    rw, rb = rng.normal(w.size).reshape(w.shape), rng.normal(b.size)
+    dw, db = rw.copy(), rb.copy()
+    dx = conv2d_bwd(dy, cache, dw, db)
+    assert np.array_equal(dx, dx0)
+    assert dw.tobytes() == (rw + dw0).tobytes() and db.tobytes() == (rb + db0).tobytes()
 
 
 def test_cache_is_input_and_weight():
@@ -97,8 +118,8 @@ def test_foreign_padded_row_view_is_padded(ci, co):
     y, cache = conv2d_fwd(xv, w, b)
     ref = _conv_brute(x, w, b)
     assert np.max(np.abs(y - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
-    got = conv2d_bwd(dyv, cache)
-    for g, r in zip(got, conv2d_bwd(dy, (x, w))):
+    got = _bwd(dyv, cache)
+    for g, r in zip(got, _bwd(dy, (x, w))):
         assert np.max(np.abs(g - r)) <= 1e-12 * max(1.0, np.max(np.abs(r)))
 
 
@@ -123,8 +144,8 @@ def _conv_and_prox_results():
     _, w2, b2 = _case(3, 8, 8, 8, 8, seed=42)
     y1, k1 = conv2d_fwd(x, w1, b1)
     y2, k2 = conv2d_fwd(y1, w2, b2)
-    d1, dw2, db2 = conv2d_bwd(y2, k2)
-    d0, dw1, db1 = conv2d_bwd(d1, k1)
+    d1, dw2, db2 = _bwd(y2, k2)
+    d0, dw1, db1 = _bwd(d1, k1)
     net = init_net(8, 8, num_stages=1, channels=4, num_masks=2, rng=SeededRng(43))
     r = SeededRng(44).uniform(3 * 64).reshape(3, 8, 8)
     xo, cache = network.ppm_fwd(r, net.stages[0])

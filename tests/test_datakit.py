@@ -412,6 +412,13 @@ def test_generate_dataset_alpha_cycle(tmp_path):
         assert alphas.count(a) == 3
 
 
+def test_generate_dataset_rejects_no_noise_levels_before_writing(tmp_path):
+    out = tmp_path / "ds"
+    with pytest.raises(ValueError, match="at least one noise level"):
+        generate_dataset(str(out), 2, 8, 8, seed=1, alphas=())
+    assert not out.exists()
+
+
 def test_generate_dataset_deterministic_bytes(tmp_path):
     for name in ("x", "y"):
         generate_dataset(str(tmp_path / name), 4, 16, 16, seed=3)

@@ -147,12 +147,13 @@ def test_sgd_step_phase_derivative_matches_full_formula(monkeypatch):
 
     r, cache = sgd_step_fwd(x, stage, y, ms)
     dr = rng.normal(b * h * w).reshape(b, h, w)
-    dresid, _ = cdp.operator_adjoint_vjp(-cache["t"] * dr, cache["adj"])
+    grads = network.build_net(h, w, 1, 2, 1, "structured", False, False)
+    dresid = cdp.operator_adjoint_vjp(-cache["t"] * dr, cache["adj"], grads.stages[0].op)
     want = _phase_pullback_oracle(dresid, z, y)
     seen = []
     vjp = cdp.operator_apply_vjp
     monkeypatch.setattr(cdp, "operator_apply_vjp",
-                        lambda dz, c: (seen.append(dz.copy()), vjp(dz, c))[1])
+                        lambda dz, c, g: (seen.append(dz.copy()), vjp(dz, c, g))[1])
     sgd_step_bwd(dr, cache, network.build_net(h, w, 1, 2, 1, "structured", False,
                                               False).stages[0])
     got = seen[0]
