@@ -13,7 +13,6 @@ from .cdp import (
     MaskSet,
     MeasurementVector,
     OperatorParams,
-    make_cdp_masks,
     masks_from_seed,
     measure,
 )
@@ -74,6 +73,6 @@ __all__ = [
     "AdamState", "MaskSet", "MeasurementVector", "NetParams", "OperatorParams",
     "SeededRng", "StageParams", "TrainConfig", "adam_update", "backward",
     "checkpoint_load", "checkpoint_save", "fft2_unitary", "ifft2_unitary",
-    "init_net", "loss_mse", "lr_schedule", "make_cdp_masks", "masks_from_seed",
-    "measure", "net_forward", "psnr", "soft_threshold", "ssim", "train_full",
+    "init_net", "loss_mse", "lr_schedule", "masks_from_seed", "measure",
+    "net_forward", "psnr", "soft_threshold", "ssim", "train_full",
 ]

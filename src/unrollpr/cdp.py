@@ -15,9 +15,9 @@ Three transform modes are supported:
                   guarded to N <= 4096.
 
 The adjoint map carries its own gain / matrix (initialized to the true
-adjoint) unless ``tie_adjoint`` is set.  Then the mode's tie map, g -> conj(g)
-or M -> M^H, derives it from the forward side on every call, so the two stay
-exactly adjoint, and carries its cotangent back onto the forward side.
+adjoint) unless ``tie_adjoint`` is set.  Then it applies conj(g) or M^H,
+formed from the forward tensor on every call, so the two stay exactly
+adjoint, and its cotangent goes back onto the forward tensor.
 
 Gradients follow the convention  vbar = dL/dRe(v) + i dL/dIm(v)  for complex
 intermediates, which makes every complex-linear map M pull back as M^H.
@@ -57,28 +57,19 @@ class MeasurementVector:
 
     values: np.ndarray
     alpha: float
-    mask_seed: int = None
-    masks: np.ndarray = None
-
-
-def make_cdp_masks(rng, num_masks, h, w):
-    """Draw masks exp(i theta), theta ~ U[0, 2 pi), one field per channel.
-
-    The set records ``rng.seed`` as its rebuild key only when the rng is on
-    stream 0, the convention :func:`masks_from_seed` uses; a set drawn from
-    some other stream cannot be rebuilt from one integer.
-    """
-    if num_masks < 1:
-        raise ValueError("need at least one mask, got %d" % num_masks)
-    check_spatial_pow2((h, w))
-    theta = 2.0 * np.pi * rng.uniform(num_masks * h * w).reshape(num_masks, h, w)
-    seed = rng.seed if rng.stream == 0 else None
-    return MaskSet(masks=np.exp(1j * theta), seed=seed)
+    mask_seed: int
+    masks: np.ndarray
 
 
 def masks_from_seed(seed, num_masks, h, w):
-    """Rebuild the mask set identified by one integer seed."""
-    return make_cdp_masks(SeededRng(seed, 0), num_masks, h, w)
+    """The mask set of one integer seed: masks exp(i theta), theta ~ U[0, 2 pi)
+    drawn from ``SeededRng(seed)``, recording its key ``SeededRng(seed).seed``."""
+    if num_masks < 1:
+        raise ValueError("need at least one mask, got %d" % num_masks)
+    check_spatial_pow2((h, w))
+    rng = SeededRng(seed)
+    theta = 2.0 * np.pi * rng.uniform(num_masks * h * w).reshape(num_masks, h, w)
+    return MaskSet(masks=np.exp(1j * theta), seed=rng.seed)
 
 
 def dft_matrix_2d(h, w):
@@ -99,14 +90,12 @@ def _dft_pair(h, w):
     return f2, f2.conj().T.copy()
 
 
-# mode -> (forward, adjoint) attribute names, their shape for an h x w field,
-# their initial values and the tie map, which a fresh cotangent passes
-# through in place (``out=``); ``fixed`` has no trainable part
+# mode -> (forward, adjoint) attribute names, their shape for an h x w field
+# and their initial values; ``fixed`` has no trainable part
 _TRANSFORMS = {
-    "fixed": ((), None, None, None),
-    "structured": (("gain", "adj_gain"), lambda h, w: (h, w), _identity_gains, np.conj),
-    "dense": (("mat", "adj_mat"), lambda h, w: (h * w, h * w), _dft_pair,
-              lambda m, out=None: np.conjugate(m, out=out).T),
+    "fixed": ((), None, None),
+    "structured": (("gain", "adj_gain"), lambda h, w: (h, w), _identity_gains),
+    "dense": (("mat", "adj_mat"), lambda h, w: (h * w, h * w), _dft_pair),
 }
 
 
@@ -121,7 +110,7 @@ def operator_layout(mode, h, w, tie_adjoint=False):
 
     A tied adjoint is derived from the forward side, so it is not stored.
     """
-    names, shape, _, _ = _transform(mode)
+    names, shape, _ = _transform(mode)
     if names:
         check_spatial_pow2((h, w))
     if dense_too_large(mode, h, w):
@@ -157,13 +146,12 @@ class OperatorParams:
         return OperatorParams(mode=mode, tie_adjoint=tie_adjoint, **dict(zip(names, init)))
 
     def _tensor(self, adjoint):
-        """The forward or the effective adjoint gain / matrix; None in fixed mode."""
-        names, _, _, tie = _transform(self.mode)
+        """The stored gain / matrix one side applies (for a tied adjoint, the
+        forward one, whose adjoint it applies); None in fixed mode."""
+        names = _transform(self.mode)[0]
         if not names:
             return None
-        if adjoint and self.tie_adjoint:
-            return tie(getattr(self, names[0]))
-        return getattr(self, names[1] if adjoint else names[0])
+        return getattr(self, names[1] if adjoint and not self.tie_adjoint else names[0])
 
 
 def _modulate(x, masks):
@@ -171,33 +159,36 @@ def _modulate(x, masks):
     return masks * x[..., None, :, :]
 
 
-def _matmul(v, m):
-    """m applied to each flattened (h, w) field of v; returns (m v, flat v).
+def _matmul(v, m, adjoint=False):
+    """m (or m^H with ``adjoint``) applied to each flattened (h, w) field of
+    v; returns (the product, flat v).
 
     All leading axes fold into the rows of one (B*J, N) @ (N, N) GEMM; numpy
     loops over a stacked operand, one J-row GEMM per image.  So batch
     invariance rests on the BLAS giving a row the same bits whatever the row
     count (checked with OpenBLAS 0.3.31, pinned by tests).  numpy sends a
     one-row product to gemv, whose bits differ from gemm's, so one-mask
-    images keep one gemv each.
+    images keep one gemv each.  m^H v is formed as conj(conj(v) @ m): the
+    conjugate is taken of the (rows, N) operand, never of the N x N matrix.
     """
     n = m.shape[1]
     vf = v.reshape((-1, n) if v.shape[-3] > 1 else (-1, 1, n))
-    return (vf @ m.T).reshape(v.shape), vf
+    if not adjoint:
+        return (vf @ m.T).reshape(v.shape), vf
+    out = np.conj(vf) @ m
+    return np.conjugate(out, out=out).reshape(v.shape), vf
 
 
-def _matmul_vjp(dout, vf, m):
+def _matmul_vjp(dout, vf, m, adjoint=False):
     """Pull dout back through :func:`_matmul`: (dv, dm summed over leading axes).
 
-    dout takes vf's row layout, so dv is one GEMM over the batch as well.
-    dv = df @ conj(m) is formed as conj(conj(df) @ m): the conjugate is
-    taken of the (rows, N) operands, never of the N x N matrix.
+    dv is dout through m^H (through m when ``adjoint``), one GEMM over the
+    batch as well; dm is df^T conj(vf), or vf^T conj(df) when ``adjoint``.
     """
     n = vf.shape[-1]
-    df = dout.reshape(vf.shape)
-    dm = df.reshape(-1, n).T @ np.conj(vf.reshape(-1, n))
-    dv = np.conj(df) @ m
-    return np.conjugate(dv, out=dv).reshape(dout.shape), dm
+    df = dout.reshape(-1, n)
+    lhs, rhs = (vf.reshape(-1, n), df) if adjoint else (df, vf.reshape(-1, n))
+    return _matmul(dout, m, not adjoint)[0], lhs.T @ np.conj(rhs)
 
 
 def _gain_grad(v, dout):
@@ -247,15 +238,15 @@ def operator_adjoint_fwd(z, mask_set, params):
 
     Returns (s, cache) with s of shape (..., h, w), complex.
     """
-    z = np.asarray(z)
+    z, tied = np.asarray(z), params.tie_adjoint
     a = params._tensor(adjoint=True)
-    cache = {"mode": params.mode, "masks": mask_set.masks, "a": a, "tied": params.tie_adjoint}
+    cache = {"mode": params.mode, "masks": mask_set.masks, "a": a, "tied": tied}
     if params.mode == "dense":
-        q, cache["zf"] = _matmul(z, a)
+        q, cache["zf"] = _matmul(z, a, adjoint=tied)
     else:  # the gain if there is one, then the inverse FFT
         if a is not None:
             cache["z"] = z
-            z = a * z
+            z = (np.conj(a) if tied else a) * z
         q = ifft2_unitary(z)
     s = np.sum(mask_set.conj * q, axis=-3)
     return s, cache
@@ -264,20 +255,18 @@ def operator_adjoint_fwd(z, mask_set, params):
 def operator_adjoint_vjp(ds, cache, grad):
     """Pull ds (real or complex) back through W^H, adding the adjoint's
     cotangent into the gradient :class:`OperatorParams` ``grad`` (a tied
-    one through the tie map into the forward tensor); returns dz."""
-    a = cache["a"]
+    one into the forward tensor); returns dz."""
+    a, tied = cache["a"], cache["tied"]
     dq = cache["masks"] * ds[..., None, :, :]
     if cache["mode"] == "dense":
-        dz, da = _matmul_vjp(dq, cache["zf"], a)
+        dz, da = _matmul_vjp(dq, cache["zf"], a, adjoint=tied)
     else:
         dz = fft2_unitary(dq)
         if a is None:
             return dz
         da = _gain_grad(cache["z"], dz)
-        dz = np.conj(a) * dz
-    names, _, _, tie = _TRANSFORMS[cache["mode"]]
-    name, da = (names[0], tie(da, out=da)) if cache["tied"] else (names[1], da)
-    getattr(grad, name)[...] += da
+        da, dz = (np.conj(da), a * dz) if tied else (da, np.conj(a) * dz)
+    grad._tensor(adjoint=True)[...] += da
     return dz
 
 

@@ -11,7 +11,6 @@ command's outputs are reproducible from its flags alone.
 import argparse
 import csv
 import io
-import math
 import os
 import sys
 
@@ -19,19 +18,14 @@ import numpy as np
 
 from . import cdp, datakit, metrics, network, selfcheck, training
 from .errors import FormatError, ShapeError
-from .field import STREAM_MASKS_TEST, STREAM_NOISE, cap_error, derive_rng
+from .field import STREAM_NOISE, cap_error, derive_rng
+from .training import float_text
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_SHAPE = 4
-
-
-def _fmt(x):
-    if isinstance(x, float) and math.isinf(x):
-        return "inf"
-    return repr(float(x))
 
 
 def _parse_size(text):
@@ -61,13 +55,27 @@ def _read_dir(data_dir):
     return datakit.read_manifest(os.path.join(data_dir, datakit.MANIFEST_NAME))
 
 
-def _check_out_paths(*paths):
-    """Before any work, fail on an output path that is a directory or in a missing one."""
-    for path in filter(None, paths):
+def _manifest(flag, data_dir):
+    """The manifest in ``data_dir`` (if any) as a (name, path) input of :func:`_check_paths`."""
+    return "the %s manifest" % flag, data_dir and os.path.join(data_dir, datakit.MANIFEST_NAME)
+
+
+def _check_paths(outs, ins):
+    """Before any work, fail on an output path that is a directory, is in a
+    missing one, or names the same file as an input or an earlier output.
+    ``outs`` and ``ins`` are (name, path) pairs; a None path is skipped."""
+    seen = {os.path.realpath(path): name for name, path in ins if path}
+    for name, path in outs:
+        if not path:
+            continue
         if os.path.isdir(path):
             raise IsADirectoryError("cannot write %s: it is a directory" % path)
         if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
             raise FileNotFoundError("cannot write %s: its directory does not exist" % path)
+        real = os.path.realpath(path)
+        if real in seen:
+            raise ValueError("%s and %s name the same file" % (seen[real], name))
+        seen[real] = name
 
 
 def cmd_train(args):
@@ -78,9 +86,8 @@ def cmd_train(args):
     )
     config.check()
     log_path = args.log if args.log else args.out + ".csv"
-    if os.path.realpath(log_path) == os.path.realpath(args.out):
-        raise ValueError("--out and --log name the same file")
-    _check_out_paths(args.out, log_path)
+    _check_paths([("--out", args.out), ("--log", log_path)],
+                 [_manifest("--data", args.data), _manifest("--val-data", args.val_data)])
     manifest = _read_dir(args.data)
     config.num_masks = manifest.num_masks
     dataset = datakit.build_dataset(manifest, base_dir=args.data)
@@ -92,12 +99,13 @@ def cmd_train(args):
     )
     training.checkpoint_save(net, state, args.out)
     final = history[-1] if history else float("nan")
-    print("trained %d epochs, final loss %s -> %s" % (args.epochs, _fmt(final), args.out))
+    print("trained %d epochs, final loss %s -> %s"
+          % (args.epochs, float_text(final), args.out))
     return EXIT_OK
 
 
 def cmd_eval(args):
-    _check_out_paths(args.csv)
+    _check_paths([("--csv", args.csv)], [("--ckpt", args.ckpt), _manifest("--data", args.data)])
     net, _ = training.checkpoint_load(args.ckpt)
     manifest = _read_dir(args.data)
     if manifest.count == 0:
@@ -115,33 +123,36 @@ def cmd_eval(args):
     rows = [(rec.image or ("synth-%d" % i), rec.alpha, p, s)
             for i, (rec, p, s) in enumerate(zip(manifest.records, ps, ss))]
     for name, alpha, p, s in rows:
-        print("%s alpha=%g psnr=%s ssim=%s" % (name, alpha, _fmt(p), _fmt(s)))
-    print("mean psnr=%s ssim=%s" % (_fmt(float(np.mean(ps))), _fmt(float(np.mean(ss)))))
+        print("%s alpha=%g psnr=%s ssim=%s" % (name, alpha, float_text(p), float_text(s)))
+    print("mean psnr=%s ssim=%s" % (float_text(np.mean(ps)), float_text(np.mean(ss))))
     if args.csv:  # csv quotes a name holding "," or '"'
         text = io.StringIO()
         out = csv.writer(text, lineterminator="\n")
         out.writerow(("name", "alpha", "psnr", "ssim"))
-        out.writerows((name, "%g" % alpha, _fmt(p), _fmt(s)) for name, alpha, p, s in rows)
+        out.writerows((name, "%g" % alpha, float_text(p), float_text(s))
+                      for name, alpha, p, s in rows)
         datakit.atomic_write(args.csv, text.getvalue().encode("utf-8"))
     return EXIT_OK
 
 
 def cmd_reconstruct(args):
-    if not 0 <= args.alpha < math.inf:
+    if not 0 <= args.alpha < np.inf:
         raise ValueError("alpha must be finite and nonnegative, got %r" % args.alpha)
-    _check_out_paths(args.out)
+    _check_paths([("--out", args.out)], [("--ckpt", args.ckpt), ("--input", args.input)])
     net, _ = training.checkpoint_load(args.ckpt)
     img = datakit.load_pgm(args.input)
     if img.shape != (net.height, net.width):
         raise ShapeError("checkpoint expects %dx%d, input image is %dx%d"
                          % ((net.height, net.width) + img.shape))
-    mask_seed = int(derive_rng(args.seed, STREAM_MASKS_TEST, 0).integers(0, 2 ** 62))
+    # the image is measured as sample 0 of a held-out set generated with --seed
+    mask_seed = datakit.sample_mask_seed(args.seed, 0, held_out=True)
     masks = cdp.masks_from_seed(mask_seed, net.num_masks, net.height, net.width)
     y = cdp.measure(img, masks, args.alpha, derive_rng(args.seed, STREAM_NOISE, 0))
     _, ys, ms = datakit.stack_dataset([(img, y)])  # a batch of one
     x = np.clip(network.net_forward(ys, ms, net)[0][0], 0.0, 1.0)
     datakit.save_pgm(x, args.out)
-    print("reconstructed %s -> %s, psnr=%s" % (args.input, args.out, _fmt(metrics.psnr(x, img))))
+    print("reconstructed %s -> %s, psnr=%s"
+          % (args.input, args.out, float_text(metrics.psnr(x, img))))
     return EXIT_OK
 
 

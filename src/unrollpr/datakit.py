@@ -264,8 +264,13 @@ def _check_dataset_cap(count, masks, h, w, error):
 
 
 def read_manifest(path):
-    with open(path, "r", encoding="utf-8") as f:
-        text = f.read()
+    with open(path, "rb") as f:
+        raw = f.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise FormatError("manifest is not UTF-8 text (line %d)"
+                          % (raw.count(b"\n", 0, e.start) + 1)) from None
     head = {}
     samples = {}
     lines = {}  # head key or (sample index, field) -> the line that set it
@@ -362,12 +367,16 @@ def build_dataset(manifest, base_dir="."):
 def stack_dataset(dataset):
     """(image, measurement) pairs -> stacked images (n, h, w), measurement
     values (n, J, h, w) and the masks they were taken through (n, J, h, w)."""
-    for i, (_, mv) in enumerate(dataset):
-        if mv.masks is None:
-            raise ValueError("sample %d has no masks; measure it with cdp.measure" % i)
     images = np.stack([np.asarray(img, dtype=np.float64) for img, _ in dataset])
     ys = np.stack([np.asarray(mv.values, dtype=np.float64) for _, mv in dataset])
     return images, ys, np.stack([mv.masks for _, mv in dataset])
+
+
+def sample_mask_seed(seed, index, held_out=False):
+    """The mask seed of sample ``index`` in a set generated with ``seed``,
+    drawn from the held-out stream domain or the training one."""
+    domain = STREAM_MASKS_TEST if held_out else STREAM_MASKS_TRAIN
+    return int(derive_rng(seed, domain, index).integers(0, _SEED_RANGE))
 
 
 def generate_dataset(out_dir, count, h, w, seed, alphas=DEFAULT_ALPHAS,
@@ -388,18 +397,13 @@ def generate_dataset(out_dir, count, h, w, seed, alphas=DEFAULT_ALPHAS,
             raise ValueError("noise level must be finite and nonnegative, got %r" % (a,))
     _check_dataset_cap(count, DEFAULT_NUM_MASKS, h, w, ValueError)  # as every reader does
     os.makedirs(out_dir, exist_ok=True)
-    domain = STREAM_MASKS_TEST if test_masks else STREAM_MASKS_TRAIN
     records = []
     for i in range(count):
         img = synth_image(derive_rng(seed, STREAM_SYNTH, i), h, w)
         name = "img_%04d.pgm" % i
         save_pgm(img, os.path.join(out_dir, name))
-        mask_seed = int(derive_rng(seed, domain, i).integers(0, _SEED_RANGE))
-        records.append(
-            SampleRecord(
-                alpha=float(alphas[i % len(alphas)]), mask_seed=mask_seed, image=name
-            )
-        )
+        records.append(SampleRecord(alpha=float(alphas[i % len(alphas)]),
+                                    mask_seed=sample_mask_seed(seed, i, test_masks), image=name))
     manifest = DatasetManifest(height=h, width=w, seed=seed, records=records)
     path = os.path.join(out_dir, MANIFEST_NAME)
     write_manifest(manifest, path)

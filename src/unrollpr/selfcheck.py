@@ -37,7 +37,7 @@ def check_adjoint_identity(seeds=100, fault=None):
     params = cdp.OperatorParams(mode="fixed")
     for s in range(seeds):
         rng = SeededRng(1000 + s)
-        masks = cdp.make_cdp_masks(SeededRng(2000 + s), 4, 8, 8)
+        masks = cdp.masks_from_seed(2000 + s, 4, 8, 8)
         x = _rand_complex(rng, (8, 8))
         z = _rand_complex(rng, (4, 8, 8))
         wx = cdp.operator_apply_fwd(x, masks, params)[0]
@@ -56,7 +56,7 @@ def check_parseval(seeds=100):
     params = cdp.OperatorParams(mode="fixed")
     for s in range(seeds):
         rng = SeededRng(3000 + s)
-        masks = cdp.make_cdp_masks(SeededRng(4000 + s), 4, 8, 8)
+        masks = cdp.masks_from_seed(4000 + s, 4, 8, 8)
         x = _rand_complex(rng, (8, 8))
         nx2 = np.linalg.norm(x) ** 2
         wx = cdp.operator_apply_fwd(x, masks, params)[0]
@@ -129,7 +129,7 @@ def _small_instance(seed=42):
     """
     rng = SeededRng(seed)
     truth = rng.uniform(64).reshape(8, 8)
-    masks = cdp.make_cdp_masks(SeededRng(seed + 1), 2, 8, 8)
+    masks = cdp.masks_from_seed(seed + 1, 2, 8, 8)
     y = cdp.measure(truth, masks, 27.0, SeededRng(seed + 2))
     truth, ys, masks = datakit.stack_dataset([(truth, y)])
     net = network.init_net(8, 8, num_stages=2, channels=2, num_masks=2,

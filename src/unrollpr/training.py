@@ -402,7 +402,8 @@ def forward_chunked(net, ys, masks, threads=1):
     ], threads))
 
 
-def _csv_num(x):
+def float_text(x):
+    """Shortest text that reads back as the same float: how the CSVs and the CLI write numbers."""
     return repr(float(x))
 
 
@@ -481,13 +482,8 @@ def train_full(dataset, config, val_dataset=None, log_path=None):
         rows.append((epoch + 1, lr, epoch_loss, vp, vs, seconds))
     if log_path is not None:
         lines = ["epoch,lr,train_loss,val_psnr,val_ssim,seconds"]
-        for ep, lr, ls, vp, vs, sec in rows:
-            lines.append(",".join([
-                str(ep), _csv_num(lr), _csv_num(ls),
-                _csv_num(vp) if vp != "" else "",
-                _csv_num(vs) if vs != "" else "",
-                _csv_num(sec),
-            ]))
+        for ep, *nums in rows:  # no validation leaves its two columns empty
+            lines.append(",".join([str(ep)] + [v if v == "" else float_text(v) for v in nums]))
         atomic_write(log_path, ("\n".join(lines) + "\n").encode("utf-8"))
     return net, history, state
 

@@ -55,7 +55,7 @@ def test_criterion_01_adjoint_identity():
         rng = SeededRng(1000 + seed)
         x = _rand_complex(rng, 64).reshape(8, 8)
         z = _rand_complex(rng, 256).reshape(4, 8, 8)
-        masks = cdp.make_cdp_masks(SeededRng(2000 + seed), 4, 8, 8)
+        masks = cdp.masks_from_seed(2000 + seed, 4, 8, 8)
         lhs = np.vdot(cdp.operator_apply_fwd(x, masks, par)[0], z)
         rhs = np.vdot(x, cdp.operator_adjoint_fwd(z, masks, par)[0])
         bound = np.linalg.norm(x) * np.linalg.norm(z)
@@ -77,7 +77,7 @@ def test_criterion_02_isometry():
     for seed in range(100):
         rng = SeededRng(3000 + seed)
         x = _rand_complex(rng, 64).reshape(8, 8)
-        masks = cdp.make_cdp_masks(SeededRng(4000 + seed), 4, 8, 8)
+        masks = cdp.masks_from_seed(4000 + seed, 4, 8, 8)
         nx = np.linalg.norm(x)
         for j in range(4):
             nj = np.linalg.norm(fft2_unitary(masks.masks[j] * x))
@@ -105,7 +105,7 @@ def _generic_instance():
     """
     rng = SeededRng(42)
     truth = rng.uniform(64).reshape(8, 8)
-    masks = cdp.make_cdp_masks(SeededRng(43), 2, 8, 8)
+    masks = cdp.masks_from_seed(43, 2, 8, 8)
     y = cdp.measure(truth, masks, 27.0, SeededRng(44))
     truth, y, masks = datakit.stack_dataset([(truth, y)])
     net = init_net(8, 8, num_stages=2, channels=2, num_masks=2,

@@ -9,7 +9,6 @@ from unrollpr.cdp import (
     MaskSet,
     OperatorParams,
     dft_matrix_2d,
-    make_cdp_masks,
     masks_from_seed,
     measure,
     operator_adjoint_fwd,
@@ -43,19 +42,19 @@ def _brute_dft2(h, w):
 
 
 def test_masks_unit_modulus():
-    ms = make_cdp_masks(SeededRng(1), 4, 8, 8)
+    ms = masks_from_seed(1, 4, 8, 8)
     assert np.max(np.abs(np.abs(ms.masks) - 1.0)) <= 1e-12
 
 
 def test_masks_deterministic():
-    a = make_cdp_masks(SeededRng(7), 4, 8, 8)
-    b = make_cdp_masks(SeededRng(7), 4, 8, 8)
+    a = masks_from_seed(7, 4, 8, 8)
+    b = masks_from_seed(7, 4, 8, 8)
     assert np.array_equal(a.masks, b.masks)
 
 
 def test_masks_need_at_least_one():
     with pytest.raises(ValueError):
-        make_cdp_masks(SeededRng(1), 0, 8, 8)
+        masks_from_seed(1, 0, 8, 8)
 
 
 def test_masks_from_seed_records_rebuild_key():
@@ -64,9 +63,21 @@ def test_masks_from_seed_records_rebuild_key():
     assert np.array_equal(ms.masks, again.masks)
 
 
+@pytest.mark.parametrize("seed,j,h,w", [
+    (0, 1, 1, 1), (7, 4, 8, 8), (2 ** 62 - 1, 3, 4, 16), (-1, 2, 32, 2), (2 ** 64 + 5, 1, 16, 16)])
+def test_masks_from_seed_is_its_formula_bitwise(seed, j, h, w):
+    # exp(i theta), theta = 2 pi U[0, 1) from Philox keyed (seed mod 2^64, stream 0)
+    key = np.array([seed % 2 ** 64, 0], dtype=np.uint64)
+    u = np.random.Generator(np.random.Philox(key=key)).uniform(size=j * h * w)
+    want = np.exp(1j * (2.0 * np.pi * u.reshape(j, h, w)))
+    ms = masks_from_seed(seed, j, h, w)
+    assert ms.masks.tobytes() == want.tobytes()
+    assert ms.seed == SeededRng(seed).seed == seed % 2 ** 64
+
+
 def test_mask_arguments_uniform_ks():
     # one 64x64 mask; KS statistic of phase angles against U[0, 2pi)
-    ms = make_cdp_masks(SeededRng(3), 1, 64, 64)
+    ms = masks_from_seed(3, 1, 64, 64)
     theta = np.sort(np.angle(ms.masks[0]).ravel() % (2 * np.pi))
     n = theta.size
     cdf = theta / (2 * np.pi)
@@ -86,7 +97,7 @@ def test_fixed_apply_reduces_to_fft():
 
 
 def test_structured_identity_gain_matches_fixed():
-    ms = make_cdp_masks(SeededRng(5), 4, 8, 8)
+    ms = masks_from_seed(5, 4, 8, 8)
     x = _rand_complex(SeededRng(6), (8, 8))
     zf = operator_apply_fwd(x, ms, OperatorParams(mode="fixed"))[0]
     zs = operator_apply_fwd(x, ms, OperatorParams.initial("structured", 8, 8))[0]
@@ -94,7 +105,7 @@ def test_structured_identity_gain_matches_fixed():
 
 
 def test_dense_init_matches_fixed_and_matrix_oracle():
-    ms = make_cdp_masks(SeededRng(8), 2, 4, 4)
+    ms = masks_from_seed(8, 2, 4, 4)
     x = _rand_complex(SeededRng(9), (4, 4))
     zf = operator_apply_fwd(x, ms, OperatorParams(mode="fixed"))[0]
     zd = operator_apply_fwd(x, ms, OperatorParams.initial("dense", 4, 4))[0]
@@ -168,7 +179,8 @@ def test_dense_vjps_conjugate_the_thin_operand_not_the_matrix(tie):
     du = (z.reshape(rows) @ np.conj(p.mat)).reshape(z.shape)
     want_dx = np.sum(np.conj(masks) * du, axis=-3)
     dq = masks * x[:, None]
-    want_dz = (dq.reshape(rows) @ np.conj(p._tensor(adjoint=True))).reshape(z.shape)
+    adj = np.conj(p.mat).T if tie else p.adj_mat
+    want_dz = (dq.reshape(rows) @ np.conj(adj)).reshape(z.shape)
     for vjp, seed, cache, want in ((operator_apply_vjp, z, ca, want_dx),
                                    (operator_adjoint_vjp, x, cs, want_dz)):
         grad = _zero_grad(p)
@@ -182,6 +194,31 @@ def test_dense_vjps_conjugate_the_thin_operand_not_the_matrix(tie):
         # 4 KiB for the array headers
         assert peak <= p.mat.nbytes + got.nbytes + 2 * 16 * rows[0] * rows[1] + 4096
         assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+def test_tied_dense_adjoint_forward_conjugates_the_thin_operand():
+    # a tied W^H z = z @ conj(M) is formed as conj(conj(z) @ M): the forward
+    # makes no N x N conjugate of the matrix, and its cache keeps none
+    b, j, h = 10, 4, 16
+    _, z, masks, p = _dense_case(b, j, h)
+    tied = OperatorParams("dense", mat=p.mat, tie_adjoint=True)
+    untied = OperatorParams("dense", mat=p.mat, adj_mat=np.conj(p.mat).T.copy())
+    ms = MaskSet(masks)
+    ms.conj  # conjugated once, before the traced calls
+    peaks, outs = [], []
+    for op in (untied, tied):
+        tracemalloc.start()
+        try:
+            s, cache = operator_adjoint_fwd(z, ms, op)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        outs.append(s)
+    # two (B*J, N) buffers: the conjugated rows and their product; 4 KiB for headers
+    assert peaks[1] <= peaks[0] + 2 * 16 * b * j * h * h + 4096
+    square = [v for v in cache.values() if isinstance(v, np.ndarray) and v.size >= p.mat.size]
+    assert square and all(np.shares_memory(v, p.mat) for v in square)
+    assert np.max(np.abs(outs[1] - outs[0])) <= 1e-15 * np.max(np.abs(outs[0]))
 
 
 @pytest.mark.parametrize("mode", ["structured", "dense"])
@@ -222,7 +259,7 @@ def test_adjoint_identity_fixed_mode():
     p = OperatorParams(mode="fixed")
     for s in range(10):
         rng = SeededRng(100 + s)
-        ms = make_cdp_masks(SeededRng(200 + s), 4, 8, 8)
+        ms = masks_from_seed(200 + s, 4, 8, 8)
         x = _rand_complex(rng, (8, 8))
         z = _rand_complex(rng, (4, 8, 8))
         lhs = np.vdot(operator_apply_fwd(x, ms, p)[0], z)
@@ -231,7 +268,7 @@ def test_adjoint_identity_fixed_mode():
 
 
 def test_adjoint_zeros_give_zeros():
-    ms = make_cdp_masks(SeededRng(4), 4, 8, 8)
+    ms = masks_from_seed(4, 4, 8, 8)
     zeros = np.zeros((4, 8, 8), dtype=np.complex128)
     out = operator_adjoint_fwd(zeros, ms, OperatorParams(mode="fixed"))[0]
     assert np.all(out == 0)
@@ -248,7 +285,7 @@ def test_single_ones_mask_gives_identity_composition():
 def test_per_channel_isometry_and_energy():
     p = OperatorParams(mode="fixed")
     for s in range(10):
-        ms = make_cdp_masks(SeededRng(300 + s), 4, 8, 8)
+        ms = masks_from_seed(300 + s, 4, 8, 8)
         x = _rand_complex(SeededRng(400 + s), (8, 8))
         nx2 = np.linalg.norm(x) ** 2
         z = operator_apply_fwd(x, ms, p)[0]
@@ -263,13 +300,13 @@ def test_dense_guard_rejects_large_fields():
 
 
 def test_unknown_mode_rejected():
-    ms = make_cdp_masks(SeededRng(1), 1, 4, 4)
+    ms = masks_from_seed(1, 1, 4, 4)
     with pytest.raises(ValueError):
         operator_apply_fwd(np.ones((4, 4)), ms, OperatorParams(mode="banana"))
 
 
 def test_measure_zero_noise_is_exact_magnitude():
-    ms = make_cdp_masks(SeededRng(21), 4, 8, 8)
+    ms = masks_from_seed(21, 4, 8, 8)
     x = SeededRng(22).uniform(64).reshape(8, 8)
     mv = measure(x, ms, 0.0, SeededRng(23))
     z = operator_apply_fwd(x, ms, OperatorParams(mode="fixed"))[0]
@@ -278,7 +315,7 @@ def test_measure_zero_noise_is_exact_magnitude():
 
 
 def test_measure_blind_to_global_sign():
-    ms = make_cdp_masks(SeededRng(31), 4, 8, 8)
+    ms = masks_from_seed(31, 4, 8, 8)
     x = SeededRng(32).uniform(64).reshape(8, 8)
     a = measure(x, ms, 0.0, SeededRng(33))
     b = measure(-x, ms, 0.0, SeededRng(33))
@@ -286,26 +323,27 @@ def test_measure_blind_to_global_sign():
 
 
 def test_measure_rejects_negative_alpha():
-    ms = make_cdp_masks(SeededRng(41), 4, 8, 8)
+    ms = masks_from_seed(41, 4, 8, 8)
     with pytest.raises(ValueError):
         measure(np.ones((8, 8)), ms, -1.0, SeededRng(42))
 
 
 @pytest.mark.parametrize("alpha", [np.nan, np.inf])
 def test_measure_rejects_non_finite_alpha(alpha):
-    ms = make_cdp_masks(SeededRng(41), 4, 8, 8)
+    ms = masks_from_seed(41, 4, 8, 8)
     with pytest.raises(ValueError, match="finite"):
         measure(np.ones((8, 8)), ms, alpha, SeededRng(42))
 
 
 def test_measure_keeps_its_masks():
-    ms = make_cdp_masks(SeededRng(43, 1), 4, 8, 8)
+    theta = 2 * np.pi * SeededRng(43, 1).uniform(4 * 8 * 8).reshape(4, 8, 8)
+    ms = MaskSet(np.exp(1j * theta))  # built by hand: no seed
     mv = measure(np.ones((8, 8)), ms, 9.0, SeededRng(44))
     assert mv.masks is ms.masks and mv.mask_seed is None
 
 
 def test_measure_nonnegative_and_finite():
-    ms = make_cdp_masks(SeededRng(51), 4, 8, 8)
+    ms = masks_from_seed(51, 4, 8, 8)
     x = SeededRng(52).uniform(64).reshape(8, 8)
     mv = measure(x, ms, 81.0, SeededRng(53))
     assert np.all(mv.values >= 0)
@@ -334,7 +372,7 @@ def test_measure_noise_variance_calibration():
 def test_apply_vjp_matches_finite_differences():
     # scalar probe: d/dt Re(sum(conj(c) * W(x + t*e))) at t=0 equals
     # Re(sum(conj(dx) * e)) with dx from the vjp seeded by c
-    ms = make_cdp_masks(SeededRng(71), 2, 4, 4)
+    ms = masks_from_seed(71, 2, 4, 4)
     p = OperatorParams.initial("structured", 4, 4)
     p.gain += 0.1 * _rand_complex(SeededRng(72), (4, 4))
     x = _rand_complex(SeededRng(73), (4, 4))

@@ -345,13 +345,16 @@ def test_eval_bypass_reports_perfect_scores(tmp_path, capsys):
     data = _gen(tmp_path, count=3, size="16x16", seed=12)
     ckpt = _train(tmp_path, data, epochs=0)
     capsys.readouterr()
-    rc = main(["eval", "--ckpt", str(ckpt), "--data", str(data), "--bypass"])
+    rc = main(["eval", "--ckpt", str(ckpt), "--data", str(data), "--bypass",
+               "--csv", str(tmp_path / "e.csv")])
     assert rc == 0
     out = capsys.readouterr().out.splitlines()
     assert len(out) == 4
     for line in out[:-1]:
         assert "psnr=inf" in line and "ssim=1.0" in line
     assert out[-1] == "mean psnr=inf ssim=1.0"
+    assert (tmp_path / "e.csv").read_text().splitlines()[1:] == [
+        "img_%04d.pgm,%s,inf,1.0" % (i, a) for i, a in enumerate((9, 27, 81))]
 
 
 def test_eval_mean_matches_rows(tmp_path, capsys):
@@ -561,6 +564,11 @@ REJECTED = {
     "reconstruct-shape": (4, "error: checkpoint expects 8x8, input image is 16x16"),
     "reconstruct-alpha": (2, "error: alpha must be finite and nonnegative, got -1.0"),
     "train-log-is-out": (2, "error: --out and --log name the same file"),
+    "train-out-is-manifest": (2, "error: the --data manifest and --out name the same file"),
+    "train-log-is-val-manifest": (2, "error: the --val-data manifest and --log name the same file"),
+    "eval-csv-is-ckpt": (2, "error: --ckpt and --csv name the same file"),
+    "reconstruct-out-is-ckpt": (2, "error: --ckpt and --out name the same file"),
+    "reconstruct-out-is-input": (2, "error: --input and --out name the same file"),
 }
 
 
@@ -580,12 +588,25 @@ def test_a_rejected_input_prints_one_error_line(tmp_path, capsys, case):
         "train-log-is-out": ["train", "--data", str(tmp_path / "absent"), "--epochs", "1",
                              "--out", str(tmp_path / "m.ckpt"),
                              "--log", str(tmp_path) + "/./m.ckpt"],
+        # an output is compared with the inputs by the file it names
+        "train-out-is-manifest": ["train", "--data", str(d8), "--epochs", "1",
+                                  "--out", str(d8 / ".." / "d8" / "manifest.txt")],
+        "train-log-is-val-manifest": ["train", "--data", str(d8), "--epochs", "1",
+                                      "--out", str(tmp_path / "m.ckpt"), "--val-data", str(d16),
+                                      "--log", str(d16 / "manifest.txt")],
+        "eval-csv-is-ckpt": ["eval", "--ckpt", ckpt, "--data", str(d8), "--csv", ckpt],
+        "reconstruct-out-is-ckpt": ["reconstruct", "--ckpt", ckpt, "--seed", "1", "--out", ckpt,
+                                    "--input", str(d8 / "img_0000.pgm"), "--alpha", "27"],
+        "reconstruct-out-is-input": recon[:-1] + [str(d8 / "img_0001.pgm"), "--alpha", "27",
+                                                  "--input", str(d8 / "img_0001.pgm")],
     }[case]
+    before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
     capsys.readouterr()
     code, line = REJECTED[case]
     assert main(argv) == code
     assert capsys.readouterr().err == line + "\n"
     assert not (tmp_path / "r.pgm").exists()
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
 
 
 def test_an_image_unlike_its_manifest_exits_3(tmp_path, capsys):

@@ -311,6 +311,22 @@ def test_manifest_repeated_key_names_both_lines(tmp_path, capsys, first, extra):
     assert rc == 3 and err.startswith("error: repeated key") and err.count("\n") == 1
 
 
+def test_manifest_of_undecodable_bytes_exits_3(tmp_path, capsys):
+    # a checkpoint written over a manifest, say: not UTF-8 from line 3 on
+    rc = main(["gen-data", "--out", str(tmp_path), "--count", "2", "--size", "8x8",
+               "--seed", "4"])
+    assert rc == 0
+    p = tmp_path / MANIFEST_NAME
+    p.write_bytes(b"version=1\nheight=8\nwidth=\xff8\n")
+    with pytest.raises(FormatError, match=r"^manifest is not UTF-8 text \(line 3\)$"):
+        read_manifest(str(p))
+    capsys.readouterr()
+    rc = main(["train", "--data", str(tmp_path), "--out", str(tmp_path / "m"),
+               "--epochs", "1"])
+    assert rc == 3
+    assert capsys.readouterr().err == "error: manifest is not UTF-8 text (line 3)\n"
+
+
 def test_manifest_error_names_line_number(tmp_path):
     p = tmp_path / "m.txt"
     write_manifest(_sample_manifest(), str(p))

@@ -50,7 +50,7 @@ def _tape(batch, mode="structured", h=32):
     net = network.init_net(h, h, num_stages=1, channels=8, num_masks=4, mode=mode,
                            rng=SeededRng(1))
     y = SeededRng(2).uniform(batch * 4 * h * h).reshape(batch, 4, h, h)
-    masks = np.stack([cdp.make_cdp_masks(SeededRng(20 + i), 4, h, h).masks
+    masks = np.stack([cdp.masks_from_seed(20 + i, 4, h, h).masks
                       for i in range(batch)])
     return network.net_forward(y, masks, net, record=True)[1]
 
@@ -98,7 +98,7 @@ def test_unrecorded_forward_holds_no_tape():
             "net = network.init_net(32, 32, num_stages=7, channels=8, num_masks=4,\n"
             "                       mode='structured', rng=SeededRng(1))\n"
             "y = SeededRng(2).uniform(200 * 4 * 1024).reshape(200, 4, 32, 32)\n"
-            "masks = np.stack([cdp.make_cdp_masks(SeededRng(20 + i % 10), 4, 32, 32).masks\n"
+            "masks = np.stack([cdp.masks_from_seed(20 + i % 10, 4, 32, 32).masks\n"
             "                  for i in range(200)])\n"
             "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
             "x, tape = network.net_forward(y, masks, net, record=" + repr(record) + ")\n"
@@ -161,7 +161,7 @@ def test_repeated_forward_reuses_freed_memory():
         "net = network.init_net(32, 32, num_stages=7, channels=8, num_masks=4,\n"
         "                       mode='structured', rng=SeededRng(1))\n"
         "y = SeededRng(2).uniform(10 * 4 * 1024).reshape(10, 4, 32, 32)\n"
-        "masks = np.stack([cdp.make_cdp_masks(SeededRng(20 + i), 4, 32, 32).masks\n"
+        "masks = np.stack([cdp.masks_from_seed(20 + i, 4, 32, 32).masks\n"
         "                  for i in range(10)])\n"
         "x, tape = network.net_forward(y, masks, net, record=True)\n"
         "del x, tape\n"

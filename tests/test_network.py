@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from unrollpr import cdp, network
-from unrollpr.cdp import MaskSet, OperatorParams, make_cdp_masks, measure
+from unrollpr.cdp import MaskSet, OperatorParams, masks_from_seed, measure
 from unrollpr.datakit import stack_dataset
 from unrollpr.field import SeededRng
 from unrollpr.network import (
@@ -97,7 +97,7 @@ def test_sgd_step_scalar_case():
 
 
 def test_sgd_step_consistent_point_is_fixed():
-    ms = make_cdp_masks(SeededRng(10), 4, 8, 8)
+    ms = masks_from_seed(10, 4, 8, 8)
     x = SeededRng(11).uniform(64).reshape(1, 8, 8) + 0.1
     y = measure(x[0], ms, 0.0, SeededRng(12))
     for t in (0.01, 0.5, 2.0):
@@ -107,7 +107,7 @@ def test_sgd_step_consistent_point_is_fixed():
 
 
 def test_sgd_step_zero_step_is_identity():
-    ms = make_cdp_masks(SeededRng(13), 4, 8, 8)
+    ms = masks_from_seed(13, 4, 8, 8)
     x = SeededRng(14).uniform(64).reshape(1, 8, 8)
     y = measure(x[0], ms, 27.0, SeededRng(15))
     st = _zero_stage(8, 8, step=0.0)
@@ -135,7 +135,7 @@ def test_sgd_step_phase_derivative_matches_full_formula(monkeypatch):
     stage = _zero_stage(h, w, mode="structured", step=0.3)
     stage.op.gain[...] = 1 + 0.3 * (rng.normal(h * w) + 1j * rng.normal(h * w)).reshape(h, w)
     stage.op.adj_gain[...] = np.conj(stage.op.gain) + 0.1 * rng.normal(h * w).reshape(h, w)
-    ms = MaskSet(np.stack([make_cdp_masks(SeededRng(61 + i), j, h, w).masks
+    ms = MaskSet(np.stack([masks_from_seed(61 + i, j, h, w).masks
                            for i in range(b)]))
     scale = np.array([0.0, 3e-13, 2e-12, 1.0])[:, None, None]
     x = scale * rng.uniform(b * h * w).reshape(b, h, w)
@@ -304,7 +304,7 @@ def test_net_forward_zero_transforms_is_pure_descent():
         for blk in (st.ana, st.syn):
             blk.w1[...] = 0
             blk.w2[...] = 0
-    ms = make_cdp_masks(SeededRng(41), 4, 8, 8)
+    ms = masks_from_seed(41, 4, 8, 8)
     truth = SeededRng(42).uniform(64).reshape(8, 8)
     y = measure(truth, ms, 27.0, SeededRng(43))
     out, _ = net_forward(*stack_dataset([(truth, y)])[1:], net)
@@ -322,7 +322,7 @@ def test_net_forward_consistent_start_is_fixed_point():
             blk.w1[...] = 0
             blk.w2[...] = 0
         st.step_size[...] = 0.7
-    ms = make_cdp_masks(SeededRng(45), 4, 8, 8)
+    ms = masks_from_seed(45, 4, 8, 8)
     truth = SeededRng(46).uniform(64).reshape(8, 8) + 0.1
     y = measure(truth, ms, 0.0, SeededRng(47))
     truth, ys, masks = stack_dataset([(truth, y)])
@@ -348,7 +348,7 @@ def test_net_forward_shape_and_finiteness():
     for s in range(100):
         net = init_net(8, 8, num_stages=7, channels=8, num_masks=4,
                        rng=SeededRng(1000 + s))
-        ms = make_cdp_masks(SeededRng(2000 + s), 4, 8, 8)
+        ms = masks_from_seed(2000 + s, 4, 8, 8)
         truth = SeededRng(3000 + s).uniform(64).reshape(8, 8)
         y = measure(truth, ms, [9.0, 27.0, 81.0][s % 3], SeededRng(4000 + s))
         out, _ = net_forward(*stack_dataset([(truth, y)])[1:], net)
@@ -359,8 +359,8 @@ def test_net_forward_shape_and_finiteness():
 def test_net_forward_batched_matches_single():
     net = init_net(8, 8, num_stages=2, channels=2, num_masks=2,
                    rng=SeededRng(50))
-    ms1 = make_cdp_masks(SeededRng(51), 2, 8, 8)
-    ms2 = make_cdp_masks(SeededRng(52), 2, 8, 8)
+    ms1 = masks_from_seed(51, 2, 8, 8)
+    ms2 = masks_from_seed(52, 2, 8, 8)
     t1 = SeededRng(53).uniform(64).reshape(8, 8)
     t2 = SeededRng(54).uniform(64).reshape(8, 8)
     y1 = measure(t1, ms1, 27.0, SeededRng(55))
@@ -377,7 +377,7 @@ def test_net_forward_batched_matches_single():
 def test_net_forward_rejects_mismatched_shapes():
     net = init_net(8, 8, num_stages=1, channels=2, num_masks=4,
                    rng=SeededRng(57))
-    masks = make_cdp_masks(SeededRng(58), 4, 8, 8).masks[None]
+    masks = masks_from_seed(58, 4, 8, 8).masks[None]
     with pytest.raises(ValueError, match="net_forward takes"):
         net_forward(np.zeros((1, 2, 8, 8)), masks, net)  # J mismatch
     with pytest.raises(ValueError, match="net_forward takes"):
@@ -426,7 +426,7 @@ def test_unrecorded_forward_bitwise_invariant_to_batch(monkeypatch, mode, tie, s
 
 def test_net_forward_rejects_a_mask_batch_of_another_size():
     net = init_net(8, 8, num_stages=1, channels=2, num_masks=2, rng=SeededRng(73))
-    masks = np.stack([make_cdp_masks(SeededRng(74 + i), 2, 8, 8).masks for i in range(3)])
+    masks = np.stack([masks_from_seed(74 + i, 2, 8, 8).masks for i in range(3)])
     with pytest.raises(ValueError, match=r"got values \(2, 2, 8, 8\), masks \(3, 2, 8, 8\)"):
         net_forward(np.ones((2, 2, 8, 8)), masks, net)
 
@@ -434,7 +434,7 @@ def test_net_forward_rejects_a_mask_batch_of_another_size():
 @pytest.mark.parametrize("form", ["values", "measurement", "mask-set", "shared-masks", "x0"])
 def test_net_forward_takes_only_a_stacked_batch(form):
     net = init_net(8, 8, num_stages=1, channels=2, num_masks=2, rng=SeededRng(75))
-    ms = make_cdp_masks(SeededRng(76), 2, 8, 8)
+    ms = masks_from_seed(76, 2, 8, 8)
     truth = SeededRng(77).uniform(64).reshape(8, 8)
     y = measure(truth, ms, 27.0, SeededRng(78))
     _, ys, masks = stack_dataset([(truth, y)])

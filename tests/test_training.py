@@ -42,7 +42,7 @@ def _generic_instance(seed=42, mode="structured"):
     """Tiny problem at a generic (non-kink) parameter point."""
     rng = SeededRng(seed)
     truth = rng.uniform(64).reshape(8, 8)
-    masks = cdp.make_cdp_masks(SeededRng(seed + 1), 2, 8, 8)
+    masks = cdp.masks_from_seed(seed + 1, 2, 8, 8)
     y = cdp.measure(truth, masks, 27.0, SeededRng(seed + 2))
     truth, y, masks = datakit.stack_dataset([(truth, y)])
     net = init_net(8, 8, num_stages=2, channels=2, num_masks=2,
@@ -116,7 +116,7 @@ def test_backward_zero_gradient_at_exact_minimum():
         for blk in (st.ana, st.syn):
             blk.w1[...] = 0
             blk.w2[...] = 0
-    ms = cdp.make_cdp_masks(SeededRng(6), 4, 8, 8)
+    ms = cdp.masks_from_seed(6, 4, 8, 8)
     truth = SeededRng(7).uniform(64).reshape(8, 8) + 0.1
     y = cdp.measure(truth, ms, 0.0, SeededRng(8))
     truth, y, masks = datakit.stack_dataset([(truth, y)])
@@ -162,7 +162,7 @@ def test_backward_directional_derivative_every_layout(mode, tie, share):
     # every stored tensor off its init point, tied and shared operators too
     seed = 42
     truth = SeededRng(seed).uniform(64).reshape(8, 8)
-    masks = cdp.make_cdp_masks(SeededRng(seed + 1), 2, 8, 8)
+    masks = cdp.masks_from_seed(seed + 1, 2, 8, 8)
     y = cdp.measure(truth, masks, 27.0, SeededRng(seed + 2))
     truth, y, masks = datakit.stack_dataset([(truth, y)])
     net = init_net(8, 8, num_stages=2, channels=2, num_masks=2, mode=mode,
@@ -415,7 +415,8 @@ def test_train_empty_dataset_rejected():
 
 def test_train_accepts_masks_without_a_seed():
     dataset = _toy_dataset(3, 8, 8, 40)
-    masks = cdp.make_cdp_masks(SeededRng(41, 1), 4, 8, 8)  # off stream 0: no seed
+    theta = 2 * np.pi * SeededRng(41, 1).uniform(4 * 8 * 8).reshape(4, 8, 8)
+    masks = cdp.MaskSet(np.exp(1j * theta))  # built by hand: no seed
     assert masks.seed is None
     img = dataset[1][0]
     dataset[1] = (img, cdp.measure(img, masks, 27.0, SeededRng(42)))
@@ -425,12 +426,10 @@ def test_train_accepts_masks_without_a_seed():
     assert np.isfinite(history[0])
 
 
-def test_train_rejects_measurements_without_masks():
-    dataset = _toy_dataset(3, 8, 8, 40)
-    img, mv = dataset[1]
-    dataset[1] = (img, cdp.MeasurementVector(mv.values, mv.alpha, mv.mask_seed))
-    with pytest.raises(ValueError, match="sample 1 "):
-        train_full(dataset, TrainConfig(epochs=1, batch_size=2, num_stages=1, channels=1))
+def test_a_measurement_cannot_be_built_without_its_masks():
+    mv = _toy_dataset(1, 8, 8, 40)[0][1]
+    with pytest.raises(TypeError, match="masks"):
+        cdp.MeasurementVector(mv.values, mv.alpha, mv.mask_seed)
 
 
 def test_training_and_eval_build_no_masks_after_the_dataset(tmp_path, monkeypatch, capsys):
@@ -567,7 +566,7 @@ def test_train_fixed_mode_has_no_operator_tensors():
     names = [n for n, _ in net.tensors()]
     assert not any(".op." in n for n in names)
     # and the effective operator still equals the physical one
-    ms = cdp.make_cdp_masks(SeededRng(41), 4, 8, 8)
+    ms = cdp.masks_from_seed(41, 4, 8, 8)
     x = SeededRng(42).uniform(64).reshape(8, 8)
     za = cdp.operator_apply_fwd(x, ms, net.stages[0].op)[0]
     zb = cdp.operator_apply_fwd(x, ms, cdp.OperatorParams(mode="fixed"))[0]
